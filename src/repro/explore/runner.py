@@ -25,10 +25,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from ..perf import CompileCache, default_compile_cache, fastpath_enabled, \
-    set_fastpath
+from ..perf import CompileCache, fastpath_enabled, set_fastpath
 from ..sched import CIMMLC, no_optimization
-from ..perf.incremental import IncrementalCompiler
 from ..sim.performance import PerformanceReport
 from .space import SweepPoint, SweepSpace
 
@@ -193,18 +191,8 @@ def _peak_cores(schedule) -> int:
 #: Per-process compile cache shared by every point this process
 #: evaluates (sweep workers and serial runs alike).  Content-addressed,
 #: so sharing across unrelated sweeps is safe; only consulted while the
-#: fast path is enabled.  With ``REPRO_DISK_CACHE=1`` it is disk-backed
-#: (:class:`~repro.perf.DiskCompileCache`), so every process — sweep
-#: workers included, which inherit the environment — shares one
-#: persistent store.
-_PROCESS_CACHE = default_compile_cache()
-
-#: Per-process incremental recompiler riding the process cache: sweep
-#: series, autoscaler probes, and fault-degradation points mutate one
-#: architecture axis at a time against the same graphs, so unchanged
-#: segments splice instead of re-searching (bit-identical — see
-#: :mod:`repro.perf.incremental`).
-_PROCESS_INCREMENTAL = IncrementalCompiler(cache=_PROCESS_CACHE)
+#: fast path is enabled.
+_PROCESS_CACHE = CompileCache()
 
 
 def evaluate_point(point: SweepPoint,
@@ -241,13 +229,6 @@ def evaluate_point(point: SweepPoint,
             cores_used=sum(_peak_cores(s) for s in plan.schedules))
     if point.options is None:
         result = no_optimization(point.graph, point.arch, cache=cache)
-    elif cache is _PROCESS_CACHE:
-        # Implicitly-cached single-chip compiles route through the
-        # process-wide incremental recompiler: points that mutate one
-        # axis against an already-seen (graph, options) pair delta-patch
-        # instead of recompiling (bit-identical by construction).
-        result = _PROCESS_INCREMENTAL.compile(point.graph, point.arch,
-                                              point.options)
     else:
         result = CIMMLC(point.arch, point.options,
                         cache=cache).compile(point.graph)

@@ -86,10 +86,11 @@ def degradation_sweep(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     yield an infeasible point carrying the planner's capacity error.
 
     Each dead-core count is a one-axis architecture mutation, so with
-    the fast path on the rebuilds route through the runner's shared
-    :class:`~repro.perf.IncrementalCompiler`: unchanged segments splice
-    their recorded duplication searches instead of re-optimizing (see
-    ``docs/PERFORMANCE.md``), bit-identically to a cold rebuild.
+    the fast path on the rebuilds share the runner's process-wide
+    :class:`~repro.perf.CompileCache`: a duplication search whose
+    profiles and core budget recur is a cache hit rather than a fresh
+    search (see ``docs/PERFORMANCE.md``), bit-identically to a cold
+    rebuild.
     """
     runner = runner or SweepRunner()
     trace = make_trace(trace_kind, specs, rate, num_requests, seed=seed)

@@ -11,9 +11,11 @@ hop carries.
 :func:`build_fleet` is the compile-side helper: it plans ``replicas``
 identical systems through **one shared**
 :class:`~repro.perf.CompileCache`, so an N-replica homogeneous fleet
-compiles each unique model exactly once — replica 2..N hit the cache for
-every profile, duplication search, and segment simulation (the cache's
-hit counters make this assertable in tests).
+runs cost profiling, segmentation, and the duplication searches for
+each unique model exactly once — replicas 2..N hit the cache for all
+three (the cache's hit counters make this assertable in tests).  Each
+replica still runs its own bandwidth balancing, MVM/VVM scheduling,
+placement, and performance simulation.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch import ChipLink, CIMArchitecture
 from ..errors import ScheduleError
-from ..perf import CompileCache, default_compile_cache, fastpath_enabled
+from ..perf import CompileCache
 from ..sched import CompilerOptions
 from ..serve import ServingPlan, TenantSpec, make_plan
-from ..perf.incremental import IncrementalCompiler
 
 #: Default payload sizes for the front-end↔replica hop: a request ships
 #: an input activation tensor (say a 32x32x3 image at 8 bits), a
@@ -132,20 +133,19 @@ def build_fleet(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     model exactly once.
 
     All replica plans run through one shared
-    :class:`~repro.perf.CompileCache` (supplied or created here): replica
-    0 pays the compiles, replicas 1..N-1 are pure cache hits.  With the
-    fast path on, one shared :class:`~repro.perf.IncrementalCompiler`
-    additionally delta-patches the spatial water-filling probes across
-    replicas (and, downstream, across autoscaler resizes).
+    :class:`~repro.perf.CompileCache` (supplied or created here).
+    Replica 0 pays for cost profiling, segmentation, and the duplication
+    searches; replicas 1..N-1 take all three from the cache.  What is
+    not shared: every replica gets its own graph (``get_model`` builds a
+    fresh one) and re-runs bandwidth balancing, the MVM/VVM passes,
+    placement, and the performance simulator, so no two replicas share
+    a :class:`~repro.sched.schedule.Schedule` object.
     ``plan_kwargs`` reach :func:`~repro.serve.partition.make_plan`
     (e.g. ``power_budget=``, ``chips=`` for sharded mode).
     """
     if replicas < 1:
         raise ScheduleError(f"fleet size must be >= 1, got {replicas}")
-    cache = cache or default_compile_cache()
-    if "incremental" not in plan_kwargs and fastpath_enabled():
-        plan_kwargs = dict(plan_kwargs,
-                           incremental=IncrementalCompiler(cache=cache))
+    cache = cache or CompileCache()
     plans: List[ServingPlan] = [
         make_plan(mode, arch, specs, options, cache=cache, **plan_kwargs)
         for _ in range(replicas)

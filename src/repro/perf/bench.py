@@ -63,12 +63,9 @@ class BenchResult:
 def clear_process_caches() -> None:
     """Reset every implicit fast-path memo so a timed run starts cold.
 
-    Covers the process-wide explore compile cache and incremental
-    recompiler, the implicit duplication-search and placement memos, and
-    the memoized NoC cost matrices/aggregates; explicit caches owned by
-    callers are untouched.  Note a disk-backed process cache
-    (``REPRO_DISK_CACHE=1``) is cleared *including its on-disk store* —
-    benchmarking against a warm disk memo would be meaningless.
+    Covers the process-wide explore compile cache, the implicit
+    duplication-search and placement memos, and the memoized NoC cost
+    matrices/aggregates; explicit caches owned by callers are untouched.
     """
     from ..arch.noc import _average_cost_fast, _max_cost_fast, hop_cost_array
     from ..explore import runner as runner_mod
@@ -76,7 +73,6 @@ def clear_process_caches() -> None:
     from ..sched import placement as placement_mod
 
     runner_mod._PROCESS_CACHE.clear()
-    runner_mod._PROCESS_INCREMENTAL.clear()
     cg_mod._IMPLICIT_SEARCH_CACHE.clear()
     placement_mod._GREEDY_MEMO.clear()
     _average_cost_fast.cache_clear()
@@ -164,58 +160,6 @@ def _bench_placement(quick: bool) -> Tuple[Callable, int]:
         return {name: list(cores) for name, cores in placements.items()}
 
     return workload, len(schedule.segments)
-
-
-@_bench("incremental")
-def _bench_incremental(quick: bool) -> Tuple[Callable, int]:
-    """One-axis recompilation: a core-count family, two graph copies.
-
-    Routes every compile of a sweep-shaped workload (one architecture
-    axis moving, everything else fixed; a second copy of the same model
-    replaying the family, as fleet replicas and serve tenants do)
-    through one :class:`~repro.perf.IncrementalCompiler`.  On the
-    reference path the compiler defers to from-scratch
-    :class:`~repro.sched.CIMMLC` compiles, so the digest equality check
-    in :func:`run_bench` pins the delta-patched results bit-identical to
-    cold compiles.  The fast path additionally *asserts its own hit
-    counters*: exactly one full compile (the first point), and at least
-    one spliced segment (the second copy replays recorded searches) —
-    a silent fall-through to full recompiles fails the run rather than
-    reporting an honest-looking speedup.
-    """
-    from .cache import CompileCache
-    from .fastpath import fastpath_enabled
-    from .incremental import IncrementalCompiler
-    from ..models import resnet18, vit_tiny
-
-    make_graph = vit_tiny if quick else resnet18
-    _, arch = _compile_inputs(quick)
-    core_axis = (512, 768) if quick else (512, 640, 768, 896)
-    graphs = (make_graph(), make_graph())
-
-    def workload():
-        inc = IncrementalCompiler(cache=CompileCache())
-        digest = []
-        for graph in graphs:
-            for cores in core_axis:
-                result = inc.compile(graph, arch.with_cores(cores))
-                digest.append({
-                    "cores": cores,
-                    "total_cycles": result.report.total_cycles,
-                    "op_latency": result.report.op_latency,
-                    "peak_power": result.report.power.peak_power})
-        if fastpath_enabled():
-            if inc.full_compiles != 1:
-                raise RuntimeError(
-                    f"incremental bench: expected exactly 1 full "
-                    f"compile, measured {inc.full_compiles}")
-            if inc.spliced_segments == 0:
-                raise RuntimeError(
-                    "incremental bench: replayed family spliced no "
-                    "segments — the delta path is not engaging")
-        return digest
-
-    return workload, len(core_axis) * len(graphs)
 
 
 @_bench("perf_sim")

@@ -28,12 +28,11 @@ from ..arch import CIMArchitecture
 from ..errors import CapacityError, ScheduleError
 from ..graph import Graph
 from ..models import get_model
-from ..perf import CompileCache, default_compile_cache, fastpath_enabled
+from ..perf import CompileCache, fastpath_enabled
 from ..sched import CIMMLC, CompilerOptions
 from ..sched.costs import CostModel
 from ..sched.placement import annotate_placement
 from ..sched.schedule import Schedule
-from ..perf.incremental import IncrementalCompiler
 from .workload import TenantSpec
 
 #: Serving plan modes.
@@ -43,10 +42,8 @@ MODES = ("spatial", "temporal")
 def _implicit_cache() -> Optional[CompileCache]:
     """A planner-owned :class:`~repro.perf.CompileCache` — an *implicit*
     acceleration layer, so it is gated on the fast-path switch (an
-    explicit ``cache=`` argument is honoured regardless).  Honours the
-    ``REPRO_DISK_CACHE`` opt-in via
-    :func:`~repro.perf.default_compile_cache`."""
-    return default_compile_cache() if fastpath_enabled() else None
+    explicit ``cache=`` argument is honoured regardless)."""
+    return CompileCache() if fastpath_enabled() else None
 
 
 @dataclass(frozen=True)
@@ -326,9 +323,7 @@ def plan_spatial(arch: CIMArchitecture, specs: Sequence[TenantSpec],
                  cache: Optional[CompileCache] = None,
                  power_budget: Optional[float] = None,
                  core_pool: Optional[Sequence[int]] = None,
-                 die_cores: Optional[int] = None,
-                 incremental: Optional[IncrementalCompiler] = None
-                 ) -> ServingPlan:
+                 die_cores: Optional[int] = None) -> ServingPlan:
     """Compile every tenant onto its own region of the chip.
 
     ``core_pool`` / ``die_cores`` serve the degraded-hardware path
@@ -350,17 +345,8 @@ def plan_spatial(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     explicit ``alloc``), or raising
     :class:`~repro.errors.CapacityError` when the mix cannot fit even at
     residency floors.
-
-    The water-filling probe compiles each tenant against a family of
-    core counts — exactly the one-axis mutation
-    :class:`~repro.perf.IncrementalCompiler` delta-patches.  Pass one
-    via ``incremental`` to share its splice store across calls (the
-    fleet builder does); otherwise one is created per call whenever the
-    fast path is on and a cache is in play.
     """
     cache = cache or _implicit_cache()
-    if incremental is None and cache is not None and fastpath_enabled():
-        incremental = IncrementalCompiler(cache=cache)
     graphs = resolve_graphs(specs)
     floors = {s.name: min_cores(graphs[s.name], arch, cache=cache)
               for s in specs}
@@ -369,12 +355,8 @@ def plan_spatial(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     def compiled(spec: TenantSpec, cores: int):
         key = (spec.name, cores)
         if key not in results:
-            if incremental is not None:
-                results[key] = incremental.compile(
-                    graphs[spec.name], arch.with_cores(cores), options)
-            else:
-                results[key] = CIMMLC(arch.with_cores(cores), options,
-                                      cache=cache).compile(graphs[spec.name])
+            results[key] = CIMMLC(arch.with_cores(cores), options,
+                                  cache=cache).compile(graphs[spec.name])
         return results[key]
 
     if alloc is None:
@@ -572,9 +554,6 @@ def make_plan(mode: str, arch: CIMArchitecture, specs: Sequence[TenantSpec],
                              core_pool=kwargs.get("core_pool"),
                              die_cores=kwargs.get("die_cores"))
     if mode == "sharded":
-        # Incremental recompilation is a single-chip planner affordance;
-        # the sharded planner compiles per shard stage itself.
-        kwargs.pop("incremental", None)
         if kwargs.pop("power_budget", None) is not None:
             raise ScheduleError(
                 "power budgets apply to spatial/temporal plans; the "

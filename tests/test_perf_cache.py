@@ -12,24 +12,13 @@ Three layers of pinning:
 * **cache behaviour** — :class:`repro.perf.CompileCache` hit counters
   prove profiles/duplication searches are shared, the sweep runner
   deduplicates identical points, and its worker pool persists across
-  runs;
-* **disk memo integrity** — :class:`repro.perf.DiskCompileCache`
-  survives corrupted/truncated entries (clean recompile), orphans
-  entries on a schema bump, and keeps two concurrent processes
-  bit-identical;
-* **incremental recompilation** — :class:`repro.perf.
-  IncrementalCompiler` delta-patches a one-axis architecture family
-  with exactly one full compile, bit-identical to from-scratch.
+  runs; a one-axis architecture family sharing one cache compiles
+  bit-identically to from-scratch, and equal graph copies sharing a
+  cache never share a schedule.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.arch import (
     MultiChipSystem,
     functional_testbed,
@@ -40,17 +29,7 @@ from repro.arch import (
 from repro.explore import SweepPoint, SweepRunner, SweepSpace, level_series
 from repro.explore import runner as runner_mod
 from repro.models import lenet, mlp, resnet18, vit_tiny
-from repro.perf import (
-    CompileCache,
-    DiskCompileCache,
-    IncrementalCompiler,
-    default_compile_cache,
-    disk_cache_enabled,
-    fastpath,
-    fastpath_enabled,
-    set_fastpath,
-)
-from repro.perf import diskcache as diskcache_mod
+from repro.perf import CompileCache, fastpath, fastpath_enabled, set_fastpath
 from repro.sched import CIMMLC, CompilerOptions, no_optimization
 from repro.sched.cg import duplicate_min_bottleneck, duplicate_min_total
 from repro.sched.costs import CostModel
@@ -197,9 +176,19 @@ class TestCompileCache:
     def test_content_addressing_ignores_object_identity(self):
         # Two distinct but equal graphs / architectures share entries.
         cache = CompileCache()
-        CIMMLC(functional_testbed(), cache=cache).compile(mlp())
-        CIMMLC(functional_testbed(), cache=cache).compile(mlp())
+        graphs = (mlp(), mlp())
+        a = CIMMLC(functional_testbed(), cache=cache).compile(graphs[0])
+        b = CIMMLC(functional_testbed(), cache=cache).compile(graphs[1])
         assert cache.profile_hits >= 1 and cache.dup_hits >= 1
+        # ...but never one schedule: equal copies (fleet replicas, serve
+        # tenants) each get their own, annotating only their own graph.
+        assert a.schedule is not b.schedule
+        for graph, result in zip(graphs, (a, b)):
+            assert result.schedule.graph is graph
+            for name, decision in result.schedule.decisions.items():
+                ann = graph.node(name).annotations
+                assert ann["duplication"] == decision.dup_cg
+                assert ann["segment"] == decision.segment
 
     def test_series_share_dup_searches(self):
         # CG and CG+MVM run the same CG-level search: one miss, one hit.
@@ -223,10 +212,21 @@ class TestCompileCache:
         assert stats["profiles_stored"] == 0 and stats["profile_hits"] == 0
 
     def test_cache_does_not_change_results(self):
+        # A one-axis (core count) family compiled through one shared
+        # cache matches a from-scratch compile at every point.
         arch = functional_testbed()
-        plain = CIMMLC(arch).compile(mlp())
-        cached = CIMMLC(arch, cache=CompileCache()).compile(mlp())
-        assert _report_fields(plain.report) == _report_fields(cached.report)
+        cache = CompileCache()
+        for cores in (16, 24, 32):
+            cached = CIMMLC(arch.with_cores(cores),
+                            cache=cache).compile(mlp())
+            plain = CIMMLC(arch.with_cores(cores)).compile(mlp())
+            assert _report_fields(plain.report) == \
+                _report_fields(cached.report)
+        # Core count is part of every key: no point reused another's
+        # profiles, segmentation, or duplication search.
+        stats = cache.stats()
+        assert stats["profiles_stored"] == stats["segments_stored"] == 3
+        assert stats["dups_stored"] == 3
 
 
 class TestSweepRunnerFastPath:
@@ -336,166 +336,3 @@ class TestGraphSignature:
         from repro.errors import GraphError
         with pytest.raises(GraphError):
             g.node("no-such-node")
-
-
-class TestDiskCompileCache:
-    def _compile(self, cache):
-        return CIMMLC(functional_testbed(), cache=cache).compile(mlp())
-
-    def test_second_instance_is_fully_warm(self, tmp_path):
-        cold = DiskCompileCache(str(tmp_path))
-        ref = self._compile(cold)
-        assert cold.disk_writes > 0 and cold.profile_misses >= 1
-        warm = DiskCompileCache(str(tmp_path))     # a "new process"
-        res = self._compile(warm)
-        assert warm.profile_misses == 0
-        assert warm.dup_misses == 0
-        assert warm.segment_misses == 0
-        assert warm.disk_hits > 0
-        assert _report_fields(ref.report) == _report_fields(res.report)
-
-    def test_corrupted_entries_degrade_to_clean_recompile(self, tmp_path):
-        cold = DiskCompileCache(str(tmp_path))
-        ref = self._compile(cold)
-        for i, name in enumerate(sorted(cold._files())):
-            path = os.path.join(cold.root, name)
-            if i % 2 == 0:
-                with open(path, "wb") as fh:     # garbage pickle
-                    fh.write(b"\x80\x05not a pickle")
-            else:                                # truncated pickle
-                data = open(path, "rb").read()
-                with open(path, "wb") as fh:
-                    fh.write(data[:max(1, len(data) // 2)])
-        hurt = DiskCompileCache(str(tmp_path))
-        res = self._compile(hurt)
-        assert hurt.disk_hits == 0               # every read degraded
-        assert hurt.profile_misses >= 1          # ...to a fresh compute
-        assert _report_fields(ref.report) == _report_fields(res.report)
-        healed = DiskCompileCache(str(tmp_path))  # rewritten entries
-        self._compile(healed)
-        assert healed.profile_misses == 0 and healed.disk_hits > 0
-
-    def test_schema_bump_orphans_old_entries(self, tmp_path, monkeypatch):
-        old = DiskCompileCache(str(tmp_path))
-        self._compile(old)
-        old_files = old._files()
-        assert old_files
-        monkeypatch.setattr(diskcache_mod, "SCHEMA_VERSION",
-                            diskcache_mod.SCHEMA_VERSION + 1)
-        bumped = DiskCompileCache(str(tmp_path))
-        assert bumped.root != old.root
-        self._compile(bumped)
-        assert bumped.disk_hits == 0             # nothing carried over
-        assert bumped.profile_misses >= 1
-        assert old._files() == old_files         # old version untouched
-
-    def test_concurrent_processes_bit_identical(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(
-            repro.__file__)))
-        child = (
-            "import hashlib, json, sys\n"
-            "from repro.arch import functional_testbed\n"
-            "from repro.models import lenet\n"
-            "from repro.perf import default_compile_cache\n"
-            "from repro.sched import CIMMLC\n"
-            "cache = default_compile_cache()\n"
-            "result = CIMMLC(functional_testbed(), cache=cache)"
-            ".compile(lenet())\n"
-            "digest = hashlib.sha256(repr((result.report.total_cycles,"
-            " result.report.op_latency, result.report.power))"
-            ".encode()).hexdigest()\n"
-            "json.dump({'digest': digest, 'stats': cache.stats()},"
-            " sys.stdout)\n")
-        env = dict(os.environ,
-                   REPRO_DISK_CACHE="1",
-                   REPRO_COMPILE_CACHE_DIR=str(tmp_path),
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
-        procs = [subprocess.Popen([sys.executable, "-c", child], env=env,
-                                  stdout=subprocess.PIPE, text=True)
-                 for _ in range(2)]
-        outs = []
-        for proc in procs:
-            stdout, _ = proc.communicate(timeout=120)
-            assert proc.returncode == 0
-            outs.append(json.loads(stdout))
-        assert outs[0]["digest"] == outs[1]["digest"]
-        warm = DiskCompileCache(str(tmp_path))
-        CIMMLC(functional_testbed(), cache=warm).compile(lenet())
-        assert warm.profile_misses == 0          # racers populated it
-        assert warm.dup_misses == 0 and warm.segment_misses == 0
-
-    def test_default_cache_honours_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
-        assert not disk_cache_enabled()
-        assert type(default_compile_cache()) is CompileCache
-        monkeypatch.setenv("REPRO_DISK_CACHE", "1")
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(tmp_path))
-        cache = default_compile_cache()
-        assert isinstance(cache, DiskCompileCache)
-        assert cache.root.startswith(str(tmp_path))
-
-    def test_clear_removes_disk_entries(self, tmp_path):
-        cache = DiskCompileCache(str(tmp_path))
-        self._compile(cache)
-        assert sum(cache.entries().values()) > 0
-        cache.clear()
-        assert sum(cache.entries().values()) == 0
-        assert cache.size_bytes() == 0
-
-
-class TestIncrementalCompiler:
-    def test_one_axis_family_single_full_compile(self):
-        graph = mlp()
-        arch = functional_testbed()
-        inc = IncrementalCompiler()
-        with fastpath(True):
-            results = {c: inc.compile(graph, arch.with_cores(c))
-                       for c in (16, 24, 32)}
-        assert inc.full_compiles == 1            # only the first point
-        assert inc.delta_compiles == 2           # the rest delta-patch
-        for cores, res in results.items():
-            scratch = CIMMLC(arch.with_cores(cores)).compile(mlp())
-            assert _report_fields(res.report) == \
-                _report_fields(scratch.report)
-
-    def test_exact_repeat_returns_stored_result(self):
-        graph = mlp()
-        arch = functional_testbed()
-        with fastpath(True):
-            inc = IncrementalCompiler()
-            first = inc.compile(graph, arch)
-            again = inc.compile(graph, arch)
-        assert again is first and inc.exact_hits == 1
-
-    def test_equal_graph_copies_get_distinct_schedules(self):
-        # Two tenants holding equal-signature copies must not share (and
-        # cross-annotate) one schedule; the replay must splice instead.
-        with fastpath(True):
-            inc = IncrementalCompiler()
-            a = inc.compile(mlp(), functional_testbed())
-            searched = inc.searched_segments
-            b = inc.compile(mlp(), functional_testbed())
-        assert a.schedule is not b.schedule
-        assert inc.delta_compiles == 1
-        assert inc.searched_segments == searched  # no re-search
-        assert inc.spliced_segments >= 1
-        assert _report_fields(a.report) == _report_fields(b.report)
-
-    def test_reference_path_defers_to_plain_compile(self):
-        with fastpath(False):
-            inc = IncrementalCompiler()
-            res = inc.compile(mlp(), functional_testbed())
-        assert inc.full_compiles == 0 and inc.delta_compiles == 0
-        ref = CIMMLC(functional_testbed()).compile(mlp())
-        assert _report_fields(res.report) == _report_fields(ref.report)
-
-    def test_stats_include_cache_counters(self):
-        with fastpath(True):
-            inc = IncrementalCompiler(cache=CompileCache())
-            inc.compile(mlp(), functional_testbed())
-        stats = inc.stats()
-        assert stats["full_compiles"] == 1
-        assert stats["cache_profiles_stored"] >= 1
-        inc.clear()
-        assert inc.stats()["full_compiles"] == 0

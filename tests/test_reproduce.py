@@ -1,7 +1,7 @@
 """The reproduction harness: registry completeness, golden validation,
-digest properties, and the disk-memo isolation fix.
+and digest properties.
 
-Four layers of protection:
+Three layers of protection:
 
 * **Completeness** — every EXPERIMENTS.md heading is rendered by
   exactly one registry entry, in document order, and every entry has a
@@ -13,9 +13,6 @@ Four layers of protection:
 * **Digest properties** — hypothesis fuzz: any single-field
   perturbation of a payload changes its digest, and dict insertion
   order never does.
-* **Isolation** — ``REPRO_DISK_CACHE=1`` plus a reproduce run must
-  never clear the user's persistent compile memo (the cold protocol
-  re-roots into a temp store instead).
 """
 
 import copy
@@ -36,7 +33,6 @@ from repro.reproduce import (
     check_registry,
     document_titles,
     entry_names,
-    isolated_disk_cache,
     registered_titles,
     result_digest,
     run_profile,
@@ -320,61 +316,6 @@ class TestDigestProperties:
     def test_float_formatting_is_repr_exact(self):
         assert result_digest({"x": 0.1}) != result_digest({"x": 0.1 + 1e-16})
         assert result_digest({"x": -0.0}) != result_digest({"x": 0.0})
-
-
-class TestDiskCacheIsolation:
-    """The REPRO_DISK_CACHE=1 regression: a reproduce run must never
-    clear the user's persistent compile memo."""
-
-    def test_isolated_disk_cache_survives_process_cache_clear(
-            self, tmp_path, monkeypatch):
-        from repro.explore import runner as runner_mod
-        from repro.perf.bench import clear_process_caches
-        from repro.perf.diskcache import SCHEMA_VERSION, DiskCompileCache
-
-        user_store = tmp_path / "user-memo"
-        version_dir = user_store / f"v{SCHEMA_VERSION}"
-        version_dir.mkdir(parents=True)
-        sentinel = version_dir / "profiles-cafe.pkl"
-        sentinel.write_bytes(b"user data")
-        monkeypatch.setenv("REPRO_DISK_CACHE", "1")
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(user_store))
-        original_cache = runner_mod._PROCESS_CACHE
-        original_incremental = runner_mod._PROCESS_INCREMENTAL
-        with isolated_disk_cache():
-            assert isinstance(runner_mod._PROCESS_CACHE, DiskCompileCache)
-            assert not runner_mod._PROCESS_CACHE.root.startswith(
-                str(user_store))
-            assert os.environ["REPRO_COMPILE_CACHE_DIR"] != str(user_store)
-            # The operation that used to delete the user's on-disk
-            # store (DiskCompileCache.clear drops the current root).
-            clear_process_caches()
-        assert sentinel.read_bytes() == b"user data"
-        assert os.environ["REPRO_COMPILE_CACHE_DIR"] == str(user_store)
-        assert runner_mod._PROCESS_CACHE is original_cache
-        assert runner_mod._PROCESS_INCREMENTAL is original_incremental
-
-    def test_isolation_is_a_noop_when_disk_cache_is_off(self, monkeypatch):
-        from repro.explore import runner as runner_mod
-
-        monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
-        original = runner_mod._PROCESS_CACHE
-        with isolated_disk_cache():
-            assert runner_mod._PROCESS_CACHE is original
-
-    def test_full_profile_run_leaves_user_memo_intact(
-            self, tmp_path, monkeypatch):
-        user_store = tmp_path / "user-memo"
-        (user_store / "v1").mkdir(parents=True)
-        sentinel = user_store / "v1" / "dups-beef.pkl"
-        sentinel.write_bytes(b"precious")
-        monkeypatch.setenv("REPRO_DISK_CACHE", "1")
-        monkeypatch.setenv("REPRO_COMPILE_CACHE_DIR", str(user_store))
-        report = run_profile(profile="full", only=["fig16"], bless=True,
-                             goldens_dir=str(tmp_path / "goldens"))
-        assert report.entries[0].status == "blessed"
-        assert sentinel.read_bytes() == b"precious"
-        assert os.environ["REPRO_COMPILE_CACHE_DIR"] == str(user_store)
 
 
 class TestColdAssertion:
