@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..perf import CompileCache
 from ..graph import Graph
 from ..sched import CIMMLC, CompilerOptions, no_optimization
+from ..sched.costs import CostModel
 from ..sched.placement import annotate_placement
 from ..sched.schedule import Schedule
 from ..sim.performance import (
@@ -216,9 +217,11 @@ def shard(graph: Graph, system: MultiChipSystem,
     compilation (``optimize=False`` uses the un-optimized baseline
     scheduler instead, for ablations); ``place`` runs the greedy NoC
     placement per stage with the link port (core 0) as I/O anchor.
-    ``cache`` is shared across every stage compilation (all stages run
-    the same die architecture, so NoC averages, duplication curves, and
-    any stage-identical profiles are computed once).
+    ``cache`` is shared by the partitioner's full-graph profiling and
+    every stage compilation (all stages run the same die architecture,
+    so NoC averages, duplication curves, and any stage-identical
+    profiles are computed once, and sweep points over link or level
+    settings reuse one full-graph profile).
     Raises :class:`~repro.errors.CapacityError` when the model cannot
     stay resident on ``system.num_chips`` chips.
 
@@ -250,18 +253,18 @@ def shard(graph: Graph, system: MultiChipSystem,
         chip_archs = [masked[k].degrade_arch(die) if k in masked else die
                       for k in range(system.num_chips)]
         pools = {k: masked[k].surviving_cores(die) for k in masked}
-        stages = partition_layers(graph, system.num_chips, die,
-                                  chip_archs=chip_archs)
     else:
-        chip_archs = [system.chip] * max(1, system.num_chips)
+        chip_archs = None
         pools = {}
-        stages = partition_layers(graph, system.num_chips, system.chip)
+    stages = partition_layers(graph, system.num_chips, system.chip,
+                              cost_model=CostModel(system.chip, cache=cache),
+                              chip_archs=chip_archs)
     schedules: List[Schedule] = []
     reports: List[PerformanceReport] = []
     for idx, names in enumerate(stages):
         sub = stage_subgraph(graph, names, idx)
-        result = _compile_stage(sub, chip_archs[idx], options, optimize,
-                                cache)
+        stage_arch = chip_archs[idx] if chip_archs else system.chip
+        result = _compile_stage(sub, stage_arch, options, optimize, cache)
         if place:
             pool = pools.get(idx)
             for seg in range(len(result.schedule.segments)):
