@@ -6,8 +6,8 @@ Commands
               performance report (optionally per-level ablation).
 ``sweep``     Design-space sweep: vary preset parameters over a grid, run
               (optionally parallel + cached), print table/CSV/JSON.
-``bench``     Time the compile→simulate hot path with the fast path off
-              and on; verify identical results; report speedups.
+``bench``     Time the compile→simulate hot path from cold caches; report
+              absolute wall times and a digest of each result.
 ``shard``     Shard a model across a multi-chip system; print per-chip
               placement, the link schedule, and the pipeline estimate.
 ``serve``     Multi-tenant serving simulation (spatial / temporal /
@@ -1282,8 +1282,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run every registered EXPERIMENTS.md figure/table "
                     "and the BENCH suite, compare fresh result digests "
                     "against the committed goldens under "
-                    "benchmarks/goldens/ (exact for experiments, "
-                    "regression bands for BENCH speedups), check the "
+                    "benchmarks/goldens/ (exact for every entry; "
+                    "BENCH pins per-workload result digests), check the "
                     "committed document against freshly rendered "
                     "sections, and emit a machine-readable report plus "
                     "a pass/fail table.  Profiles: quick (warm-cache "
@@ -1320,20 +1320,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="time the compile→simulate hot path, reference vs fast",
+        help="time the compile→simulate hot path from cold caches",
         description="Run the performance benchmarks: each workload "
                     "(compile, duplication search, placement, performance "
-                    "sim, the fig22 sensitivity sweep, a 2-tenant serve "
-                    "capacity sweep) is timed with the fast path disabled "
-                    "and enabled, the two result digests are verified "
-                    "identical, and the speedups are reported "
-                    "({name, wall_s, points, speedup_vs_reference}).")
+                    "and power sim, the fig22 sensitivity sweep, serve, "
+                    "fleet, trace and faults) runs once from cold "
+                    "in-process caches and reports its absolute wall "
+                    "time and a SHA-256 digest of its result "
+                    "({name, wall_s, points, digest}).")
     p.add_argument("--quick", action="store_true",
                    help="smaller workloads (CI smoke)")
     p.add_argument("--only", default=None, metavar="NAME,...",
                    help="run a subset of benchmarks")
     p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON to PATH (e.g. BENCH_PR4.json)")
+                   help="also write the JSON to PATH")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_bench)
 

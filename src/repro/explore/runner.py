@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from ..perf import CompileCache, fastpath_enabled, set_fastpath
+from ..perf import CompileCache
 from ..sched import CIMMLC, no_optimization
 from ..sim.performance import PerformanceReport
 from .space import SweepPoint, SweepSpace
@@ -190,8 +190,7 @@ def _peak_cores(schedule) -> int:
 
 #: Per-process compile cache shared by every point this process
 #: evaluates (sweep workers and serial runs alike).  Content-addressed,
-#: so sharing across unrelated sweeps is safe; only consulted while the
-#: fast path is enabled.
+#: so sharing across unrelated sweeps is safe.
 _PROCESS_CACHE = CompileCache()
 
 
@@ -203,12 +202,11 @@ def evaluate_point(point: SweepPoint,
     :func:`repro.scale.shard` instead of a single-chip compilation.
     Module-level so :class:`ProcessPoolExecutor` can pickle it.
 
-    ``cache`` defaults to the process-wide :class:`CompileCache` while
-    the fast path is enabled, so per-op profiles and duplication
-    searches are shared across every point (and series) that agrees on
-    the quantities they depend on.
+    ``cache`` defaults to the process-wide :class:`CompileCache`, so
+    per-op profiles and duplication searches are shared across every
+    point (and series) that agrees on the quantities they depend on.
     """
-    if cache is None and fastpath_enabled():
+    if cache is None:
         cache = _PROCESS_CACHE
     if point.chips < 1:
         from ..errors import ArchitectureError
@@ -251,11 +249,8 @@ def evaluate_point(point: SweepPoint,
 _WORKER_GRAPHS: Dict[str, "Graph"] = {}  # noqa: F821 - forward name
 
 
-def _worker_init(graph_blob: bytes, fast: bool = True) -> None:
-    """Pool initializer: unpickle the sweep's graphs into this worker
-    and seed the parent's fast-path switch state (a spawned worker
-    would otherwise re-read only the environment)."""
-    set_fastpath(fast)
+def _worker_init(graph_blob: bytes) -> None:
+    """Pool initializer: unpickle the sweep's graphs into this worker."""
     _WORKER_GRAPHS.update(pickle.loads(graph_blob))
 
 
@@ -263,8 +258,8 @@ def _worker_init(graph_blob: bytes, fast: bool = True) -> None:
 class _PointTask:
     """A :class:`SweepPoint` minus its graph (referenced by signature).
 
-    What actually crosses the process boundary per point on the fast
-    path: the architecture and options pickle in microseconds, while
+    What actually crosses the process boundary per point: the
+    architecture and options pickle in microseconds, while
     the graph — the heavy part — is resolved from the worker-side
     registry populated by :func:`_worker_init`.
     """
@@ -434,7 +429,7 @@ class SweepRunner:
     cache_dir:
         Root of the disk cache.  ``None`` disables caching entirely.
 
-    On the fast path the runner additionally (a) *deduplicates*
+    The runner additionally (a) *deduplicates*
     identical points (same content fingerprint) before dispatch, (b)
     keeps one :class:`ProcessPoolExecutor` alive across :meth:`run`
     calls — re-created only when a sweep introduces a graph the pool's
@@ -476,18 +471,6 @@ class SweepRunner:
 
     def _pooled_summaries(self, todo: List[SweepPoint]) -> List[Dict]:
         """Fan ``todo`` out over the (persistent) worker pool."""
-        if not fastpath_enabled():
-            # Reference behaviour: fresh pool, full points per task.
-            # Close any persistent fast-path pool (don't leave its idle
-            # workers resident), and seed the fresh workers with the
-            # parent's switch state — on spawn/forkserver platforms a
-            # worker would otherwise re-read only the environment.
-            self.close()
-            with ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=set_fastpath,
-                    initargs=(False,)) as pool:
-                return list(pool.map(evaluate_point, todo))
         needed = {}
         for p in todo:
             needed.setdefault(p.graph.signature(), p.graph)
@@ -503,8 +486,7 @@ class SweepRunner:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_worker_init,
-                initargs=(pickle.dumps(self._pool_graphs),
-                          fastpath_enabled()))
+                initargs=(pickle.dumps(self._pool_graphs),))
         tasks = [_PointTask.from_point(p) for p in todo]
         return list(self._pool.map(_evaluate_task, tasks))
 
@@ -520,23 +502,19 @@ class SweepRunner:
         points = list(space)
         slots: List[Optional[PointResult]] = [None] * len(points)
         pending: List[int] = []
-        keys: List[Optional[str]] = [None] * len(points)
-        fast = fastpath_enabled()
+        keys = [point.fingerprint() for point in points]
         first_of: Dict[str, int] = {}      # fingerprint -> pending index
         dup_of: Dict[int, int] = {}        # duplicate -> canonical index
         for i, point in enumerate(points):
-            if self.cache is not None or fast:
-                keys[i] = point.fingerprint()
             if self.cache is not None:
                 summary = self.cache.get(keys[i])
                 if summary is not None:
                     slots[i] = PointResult(point, summary, cached=True)
                     continue
-            if fast:
-                if keys[i] in first_of:
-                    dup_of[i] = first_of[keys[i]]
-                    continue
-                first_of[keys[i]] = i
+            if keys[i] in first_of:
+                dup_of[i] = first_of[keys[i]]
+                continue
+            first_of[keys[i]] = i
             pending.append(i)
 
         if pending:
@@ -547,7 +525,7 @@ class SweepRunner:
                 summaries = [evaluate_point(p) for p in todo]
             for i, summary in zip(pending, summaries):
                 slots[i] = PointResult(points[i], summary, cached=False)
-                if self.cache is not None and keys[i] is not None:
+                if self.cache is not None:
                     self.cache.put(keys[i], summary)
         for i, canonical in dup_of.items():
             # A fingerprint collision within the sweep: reuse the

@@ -85,8 +85,8 @@ def degradation_sweep(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     shared trace is replayed.  Counts the masked chip cannot serve
     yield an infeasible point carrying the planner's capacity error.
 
-    Each dead-core count is a one-axis architecture mutation, so with
-    the fast path on the rebuilds share the runner's process-wide
+    Each dead-core count is a one-axis architecture mutation, so the
+    rebuilds share the runner's process-wide
     :class:`~repro.perf.CompileCache`: a duplication search whose
     profiles and core budget recur is a cache hit rather than a fresh
     search (see ``docs/PERFORMANCE.md``), bit-identically to a cold

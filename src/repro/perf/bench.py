@@ -1,26 +1,22 @@
-"""``repro bench``: time the hot path, reference vs. fast, prove equality.
+"""``repro bench``: absolute wall times of the hot path, with digests.
 
-Each benchmark runs its workload twice — once with the fast path
-disabled (:func:`~repro.perf.fastpath` context, reference kernels, no
-implicit memoization) and once enabled from *cold* in-process caches —
-and then verifies that both runs produced identical result digests.  A
-digest mismatch raises, so a speedup can never be reported for a
-computation that changed its answer.
-
-The emitted JSON is a list of ``{name, wall_s, points,
-speedup_vs_reference}`` objects (``wall_s`` is the fast-path wall
-clock); ``benchmarks/perf/check_regression.py`` compares a fresh run
-against the committed ``BENCH_PR4.json`` in CI.
+Each benchmark runs its workload once from *cold* in-process caches
+(:func:`clear_process_caches`) and reports the wall clock together with
+a SHA-256 :func:`~repro.reproduce.digest.result_digest` of everything
+the workload computed.  The emitted JSON is a list of ``{name, wall_s,
+points, digest}`` objects; ``repro reproduce`` pins the names, point
+counts and digests exactly, so a timing can never be reported for a
+computation that changed its answer unnoticed.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .fastpath import fastpath
+from ..reproduce.digest import result_digest
 
 #: Benchmark registry: name -> factory(quick) -> (workload, points).
 #: Each workload() call performs one full measurement and returns a
@@ -42,32 +38,26 @@ def bench_names() -> List[str]:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """One benchmark outcome (the committed-JSON schema plus context)."""
+    """One benchmark outcome (the JSON schema)."""
 
     name: str
-    wall_s: float                 # fast-path wall clock
+    wall_s: float                 # cold-cache wall clock
     points: int                   # workload size (compiles / cells / ops)
-    speedup_vs_reference: float   # reference wall / fast wall
-    ref_wall_s: float             # kept out of the JSON schema
+    digest: str                   # SHA-256 of the workload's result
 
     def to_dict(self) -> Dict:
-        """The committed schema: name, wall_s, points, speedup."""
-        return {
-            "name": self.name,
-            "wall_s": self.wall_s,
-            "points": self.points,
-            "speedup_vs_reference": self.speedup_vs_reference,
-        }
+        """The JSON schema: name, wall_s, points, digest."""
+        return asdict(self)
 
 
 def clear_process_caches() -> None:
-    """Reset every implicit fast-path memo so a timed run starts cold.
+    """Reset every implicit process-wide memo so a timed run starts cold.
 
     Covers the process-wide explore compile cache, the implicit
     duplication-search and placement memos, and the memoized NoC cost
     matrices/aggregates; explicit caches owned by callers are untouched.
     """
-    from ..arch.noc import _average_cost_fast, _max_cost_fast, hop_cost_array
+    from ..arch.noc import _average_cost, _max_cost, hop_cost_array
     from ..explore import runner as runner_mod
     from ..sched import cg as cg_mod
     from ..sched import placement as placement_mod
@@ -75,8 +65,8 @@ def clear_process_caches() -> None:
     runner_mod._PROCESS_CACHE.clear()
     cg_mod._IMPLICIT_SEARCH_CACHE.clear()
     placement_mod._GREEDY_MEMO.clear()
-    _average_cost_fast.cache_clear()
-    _max_cost_fast.cache_clear()
+    _average_cost.cache_clear()
+    _max_cost.cache_clear()
     hop_cost_array.cache_clear()
 
 
@@ -113,9 +103,9 @@ def _bench_compile(quick: bool) -> Tuple[Callable, int]:
 def _bench_duplication(quick: bool) -> Tuple[Callable, int]:
     """The two CG duplication searches over the whole model.
 
-    Repeated like the placement workload so the fast leg's ~4 ms wall
-    is not dominated by a single scheduler hiccup; repeats model the
-    sweep/fleet reality where the same search keys recur, so the ratio
+    Repeated like the placement workload so the ~4 ms wall is not
+    dominated by a single scheduler hiccup; repeats model the
+    sweep/fleet reality where the same search keys recur, so the wall
     includes the within-workload search memo (see :func:`run_bench`).
     """
     from ..sched.cg import duplicate_min_bottleneck, duplicate_min_total
@@ -142,8 +132,7 @@ def _bench_placement(quick: bool) -> Tuple[Callable, int]:
     """Greedy NoC placement of every segment of a compiled schedule.
 
     Repeated a few times so the timed sample is large enough that a
-    single scheduler hiccup on a shared CI runner cannot swing the
-    measured ratio across the regression floor.
+    single scheduler hiccup on a shared CI runner does not dominate it.
     """
     from ..sched import CIMMLC
     from ..sched.placement import annotate_placement
@@ -192,8 +181,7 @@ def _bench_power(quick: bool) -> Tuple[Callable, int]:
     against ``perf_sim``'s (which runs the full simulator, power
     included) bounds the energy-reporting share of the hot path — the
     docs/ENERGY.md <5%-overhead claim.  The evaluation is deliberately
-    scalar on both paths (a tiny loop), so the speedup column is ~1x by
-    design; the digest check still pins reference/fast equality.
+    scalar (a tiny loop).
     """
     from ..sched import CIMMLC
     from ..sim.power import PowerModel
@@ -261,10 +249,9 @@ def _bench_serve_capacity(quick: bool) -> Tuple[Callable, int]:
 def _bench_fleet(quick: bool) -> Tuple[Callable, int]:
     """A replicated fleet under a diurnal+bursty trace with autoscaling.
 
-    The digest is the full :class:`~repro.fleet.FleetReport` dict, so
-    any reference/fastpath divergence in trace generation, routing,
-    admission, or scaling fails the equality gate in
-    :func:`run_bench`.
+    The digest covers the full :class:`~repro.fleet.FleetReport` dict,
+    so any change in trace generation, routing, admission, or scaling
+    changes it.
     """
     from ..arch import get_preset
     from ..fleet import (
@@ -293,17 +280,18 @@ def _bench_fleet(quick: bool) -> Tuple[Callable, int]:
 
     return workload, requests
 
+
 @_bench("trace")
 def _bench_trace(quick: bool) -> Tuple[Callable, int]:
     """Trace capture + critical path + a link-grid what-if replay.
 
     Shards a model, records the pipeline trace, extracts its critical
     path, and re-prices a link-bandwidth grid through
-    :func:`repro.trace.replay` instead of re-simulating.  The digest is
-    the recording's SHA-256 plus every replayed metric set, so a
-    reference/fastpath divergence anywhere in capture or replay fails
-    the equality gate; the workload additionally refuses to report if
-    identity replay is not bit-identical to the recording.
+    :func:`repro.trace.replay` instead of re-simulating.  The result is
+    the recording's SHA-256 plus every replayed metric set, so a change
+    anywhere in capture or replay changes the digest; the workload
+    additionally refuses to report if identity replay is not
+    bit-identical to the recording.
     """
     from ..arch import MultiChipSystem, isaac_baseline
     from ..models import lenet, resnet18
@@ -338,10 +326,9 @@ def _bench_faults(quick: bool) -> Tuple[Callable, int]:
     Builds a serving plan around a spread of dead cores, then runs a
     fleet with drift rewrites and a mid-trace chip death.  The digest
     covers the degraded serve report, the fault-injected fleet report
-    (availability ledger included), and a zero-fault fleet report that
-    must equal the fault-free run — so a reference/fastpath divergence
-    in masking, re-routing, or the bit-identity gate itself fails the
-    equality check in :func:`run_bench`.
+    (availability ledger included), and the fault-free fleet report;
+    the workload refuses to report if a zero-fault run diverges from
+    the fault-free one.
     """
     from ..arch import isaac_baseline
     from ..faults import FaultModel, plan_degraded, spread_mask
@@ -385,13 +372,10 @@ def _bench_faults(quick: bool) -> Tuple[Callable, int]:
 
 def run_bench(names: Optional[Sequence[str]] = None,
               quick: bool = False) -> List[BenchResult]:
-    """Run the selected benchmarks; raise if any fast digest deviates.
-
-    Both timings start from cold in-process caches
-    (:func:`clear_process_caches`), so the reported speedup reflects the
+    """Run the selected benchmarks, each once from cold in-process
+    caches (:func:`clear_process_caches`), so the wall clock covers the
     vectorized kernels plus the *within-workload* memoization — not a
-    previously warmed process.
-    """
+    previously warmed process."""
     chosen = list(names) if names else bench_names()
     unknown = [n for n in chosen if n not in _BENCHES]
     if unknown:
@@ -401,40 +385,23 @@ def run_bench(names: Optional[Sequence[str]] = None,
     for name in chosen:
         workload, points = _BENCHES[name](quick)
         clear_process_caches()
-        with fastpath(False):
-            t0 = time.perf_counter()
-            ref_digest = workload()
-            ref_wall = time.perf_counter() - t0
-        clear_process_caches()
-        with fastpath(True):
-            t0 = time.perf_counter()
-            fast_digest = workload()
-            fast_wall = time.perf_counter() - t0
-        if ref_digest != fast_digest:
-            raise RuntimeError(
-                f"benchmark {name!r}: fast path diverged from the "
-                f"reference — refusing to report a speedup")
-        results.append(BenchResult(
-            name=name,
-            wall_s=fast_wall,
-            points=points,
-            speedup_vs_reference=ref_wall / max(fast_wall, 1e-9),
-            ref_wall_s=ref_wall,
-        ))
+        t0 = time.perf_counter()
+        payload = workload()
+        wall = time.perf_counter() - t0
+        results.append(BenchResult(name=name, wall_s=wall, points=points,
+                                   digest=result_digest(payload)))
     return results
 
 
 def to_json(results: Sequence[BenchResult]) -> str:
-    """The committed ``BENCH_*.json`` payload (list of schema objects)."""
+    """The ``repro bench`` JSON payload (list of schema objects)."""
     return json.dumps([r.to_dict() for r in results], indent=1)
 
 
 def table(results: Sequence[BenchResult]) -> str:
     """Readable fixed-width report."""
-    lines = [f"{'benchmark':<16} {'points':>6} {'reference':>11} "
-             f"{'fast':>9} {'speedup':>9}"]
+    lines = [f"{'benchmark':<16} {'points':>6} {'wall':>10}  digest"]
     for r in results:
-        lines.append(
-            f"{r.name:<16} {r.points:>6} {r.ref_wall_s:>10.3f}s "
-            f"{r.wall_s:>8.3f}s {r.speedup_vs_reference:>8.1f}x")
+        lines.append(f"{r.name:<16} {r.points:>6} {r.wall_s:>9.3f}s  "
+                     f"{r.digest[:16]}")
     return "\n".join(lines)

@@ -1,6 +1,7 @@
 """Vectorized (numpy) kernels for the scheduler/simulator hot loops.
 
-Every kernel here replaces a per-operator Python loop with array math
+Every kernel here replaces a per-operator Python loop (the *reference*,
+kept as a test oracle in ``tests/scalar_oracle.py``) with array math
 while producing **bit-identical** results, so the golden regressions and
 the cached-vs-live sweeps stay value-exact:
 
@@ -15,8 +16,8 @@ the cached-vs-live sweeps stay value-exact:
   (``np.argmax`` returns the first maximal index, exactly like
   ``list.index(max(...))``).
 
-``tests/test_perf_cache.py`` pins the equivalence on every model/preset
-pair and on randomized profiles.
+``tests/test_perf_cache.py`` pins the equivalence against the oracle on
+model/preset pairs and degenerate inputs.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def segment_cycles(decisions: Sequence,
                    pipelined: bool) -> Tuple[np.ndarray, int, float]:
     """(latencies, bottleneck index, segment cycles) in one pass.
 
-    The single fast-path body shared by
+    The single body shared by
     :func:`repro.sched.cg.pipelined_latency` /
     :func:`~repro.sched.cg.sequential_latency` and
     :meth:`repro.sim.performance.PerformanceSimulator.run`, so the
@@ -313,7 +314,7 @@ def level_latency_table(table: DupLatencyColumns,
 class RefineExchange:
     """Whole-frontier evaluation of the pairwise-exchange refinement.
 
-    The reference loop (``repro.sched.cg._refine_exchange``) scans, per
+    The reference loop (``refine_exchange`` in the scalar oracle) scans, per
     iteration, every operator ``p`` for its next useful duplication
     level and every donor ``q`` for the *largest* down-level that frees
     enough cores, then applies the best strictly-improving move from a

@@ -2,13 +2,11 @@
 
 One JSON file per registry entry (``<golden_key>.json``), written by
 ``repro reproduce --bless`` and compared on every validation run.
-Experiment goldens pin the exact :func:`~repro.reproduce.digest.
+Every golden pins the exact :func:`~repro.reproduce.digest.
 result_digest` of the payload — the determinism house invariant means a
-byte of drift anywhere in the pipeline fails the entry.  BENCH goldens
-cannot be exact (speedups are ratios of wall clocks); they reuse the
-``benchmarks/perf/check_regression.py`` band policy instead: names and
-point counts exact, speedups within a tolerance floor, near-1x ratios
-informational.
+byte of drift anywhere in the pipeline fails the entry.  BENCH payloads
+carry per-workload result digests, never wall clocks, so they are exact
+too.
 """
 
 from __future__ import annotations
@@ -23,23 +21,6 @@ from .digest import result_digest
 #: (``repro reproduce`` is run from the checkout, like the doc
 #: generator).
 DEFAULT_GOLDENS_DIR = os.path.join("benchmarks", "goldens")
-
-#: BENCH band policy — mirrors ``benchmarks/perf/check_regression.py``:
-#: only baselines at least MIN_ENFORCED_SPEEDUP are enforced (near-1x
-#: ratios sit inside timer noise); enforced baselines may drop at most
-#: TOLERANCE, or HIGH_TOLERANCE when the baseline is at least
-#: HIGH_SPEEDUP (reference-leg noise dominates tens-of-ms fast walls).
-MIN_ENFORCED_SPEEDUP = 2.0
-TOLERANCE = 0.20
-HIGH_SPEEDUP = 30.0
-HIGH_TOLERANCE = 0.50
-
-#: Speedups measured over a reference leg shorter than this are pure
-#: scheduler noise regardless of the ratio (a 12 ms quick-size leg
-#: swings 1.5x-4x run to run), so they are never enforced.  Goldens
-#: blessed before ``ref_wall_s`` was recorded enforce unconditionally.
-MIN_BAND_REF_WALL_S = 0.05
-
 
 def golden_path(goldens_dir: str, key: str) -> str:
     """Where the golden for ``key`` lives."""
@@ -57,14 +38,12 @@ def load_golden(goldens_dir: str, key: str) -> Optional[Dict]:
 
 def make_golden(name: str, kind: str, validation: str, payload,
                 version: str) -> Dict:
-    """A golden document for ``payload`` (digest omitted for BENCH —
-    band validation never consults it, and pinning a noisy hash would
-    misleadingly suggest exactness)."""
+    """A golden document for ``payload``."""
     return {
         "name": name,
         "kind": kind,
         "validation": validation,
-        "digest": result_digest(payload) if validation == "exact" else None,
+        "digest": result_digest(payload),
         "payload": payload,
         "blessed_version": version,
     }
@@ -89,49 +68,10 @@ def validate_exact(payload, golden: Dict) -> List[str]:
             f"golden {str(golden['digest'])[:16]}"]
 
 
-def validate_bench_band(payload, golden: Dict) -> List[str]:
-    """Failure messages for a BENCH entry under the band policy.
-
-    Row sets and point counts must match exactly (adding or removing a
-    workload is a reviewed code change, so it must show up here);
-    speedups fail only when an enforced baseline drops below its floor.
-    """
-    fresh_rows = {row["name"]: row for row in payload["rows"]}
-    golden_rows = {row["name"]: row for row in golden["payload"]["rows"]}
-    failures = []
-    for name in sorted(set(fresh_rows) | set(golden_rows)):
-        if name not in fresh_rows:
-            failures.append(f"benchmark {name!r} missing from the fresh run")
-            continue
-        if name not in golden_rows:
-            failures.append(f"benchmark {name!r} not in the golden "
-                            f"(re-bless after adding a workload)")
-            continue
-        fresh, base = fresh_rows[name], golden_rows[name]
-        if fresh["points"] != base["points"]:
-            failures.append(
-                f"benchmark {name!r}: points {fresh['points']} != "
-                f"golden {base['points']} (workload size changed)")
-        baseline = float(base["speedup_vs_reference"])
-        tol = HIGH_TOLERANCE if baseline >= HIGH_SPEEDUP else TOLERANCE
-        floor = baseline * (1.0 - tol)
-        measured = float(fresh["speedup_vs_reference"])
-        ref_wall = float(base.get("ref_wall_s", MIN_BAND_REF_WALL_S))
-        enforced = (baseline >= MIN_ENFORCED_SPEEDUP
-                    and ref_wall >= MIN_BAND_REF_WALL_S)
-        if enforced and measured < floor:
-            failures.append(
-                f"benchmark {name!r}: speedup {measured:.2f}x below "
-                f"floor {floor:.2f}x (golden {baseline:.2f}x)")
-    return failures
-
-
-def validate(validation: str, payload, golden: Optional[Dict],
-             key: str) -> List[str]:
-    """Dispatch on the entry's validation policy (empty list = pass)."""
+def validate(payload, golden: Optional[Dict], key: str) -> List[str]:
+    """Failure messages for ``payload`` against the golden stored under
+    ``key`` (empty list = pass)."""
     if golden is None:
         return [f"no committed golden {key!r} "
                 f"(run `repro reproduce --bless` and commit it)"]
-    if validation == "exact":
-        return validate_exact(payload, golden)
-    return validate_bench_band(payload, golden)
+    return validate_exact(payload, golden)

@@ -184,8 +184,7 @@ def _run_entry(entry, ctx, bless: bool, goldens_dir: str):
             failures=[f"{type(exc).__name__}: {exc}"]), ()
     wall = time.perf_counter() - t0
     key = entry.golden_key(ctx.profile)
-    digest = result_digest(outcome.payload) \
-        if entry.validation == "exact" else None
+    digest = result_digest(outcome.payload)
     if bless:
         golden = goldens_mod.make_golden(
             entry.name, entry.kind, entry.validation, outcome.payload,
@@ -196,8 +195,7 @@ def _run_entry(entry, ctx, bless: bool, goldens_dir: str):
             status="blessed", wall_s=wall,
             digest=digest), outcome.sections
     golden = goldens_mod.load_golden(goldens_dir, key)
-    failures = goldens_mod.validate(entry.validation, outcome.payload,
-                                    golden, key)
+    failures = goldens_mod.validate(outcome.payload, golden, key)
     return EntryReport(
         name=entry.name, kind=entry.kind, validation=entry.validation,
         status="pass" if not failures else "fail", wall_s=wall,
@@ -287,8 +285,7 @@ def check_registry(goldens_dir: str = goldens_mod.DEFAULT_GOLDENS_DIR,
                 failures.append(f"missing golden {key!r} under "
                                 f"{goldens_dir}")
                 continue
-            if entry.validation == "exact" and \
-                    golden.get("digest") != result_digest(golden["payload"]):
+            if golden.get("digest") != result_digest(golden["payload"]):
                 failures.append(
                     f"golden {key!r}: stored digest does not match its "
                     f"stored payload (hand-edited?)")

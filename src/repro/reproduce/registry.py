@@ -2,9 +2,8 @@
 
 One ordered list (:data:`REGISTRY`) names every figure/table driver and
 the BENCH workload suite, each as a :class:`ReproEntry` that knows how
-to run itself, which document sections it renders, and how its result
-is validated against the committed golden (``exact`` digest for
-experiments, ``bench-band`` tolerances for timing-noisy BENCH ratios).
+to run itself and which document sections it renders; its result is
+validated against the exact digest in the committed golden.
 
 ``scripts/generate_experiments_md.py`` and ``repro reproduce`` both
 walk this list, so the published document and the validator cannot
@@ -112,7 +111,7 @@ class ReproEntry:
     kind: str                      # "experiment" | "bench"
     titles: Tuple[str, ...]        # EXPERIMENTS.md headings it renders
     run: Callable[[RunContext], EntryOutcome]
-    validation: str = "exact"      # "exact" digest | "bench-band"
+    validation: str = "exact"      # digest policy (the only one)
     per_profile: bool = False      # separate goldens per profile?
     uses_runner: bool = False      # sweeps through ctx.runner's cache?
 
@@ -172,25 +171,20 @@ def _headline(name: str, title: str,
 
 
 def _bench() -> ReproEntry:
-    """The BENCH suite: ref-vs-fast speedups for every registered
-    workload.  Runs last (it clears the process caches around every
-    measurement).  The payload keeps ``{name, points, speedup}`` plus
-    the reference wall clock: names and points validate exactly,
-    speedups within the regression bands, and ``ref_wall_s`` lets the
-    validator skip bands whose golden leg is too short to be stable."""
+    """The BENCH suite: every registered ``repro bench`` workload, run
+    once from cold caches.  Runs last (it clears the process caches
+    around every measurement).  The payload is ``{name, points,
+    digest}`` per workload — wall clocks stay out, so the golden is
+    exact like every other entry."""
     def run(ctx: RunContext) -> EntryOutcome:
         from ..perf.bench import run_bench
         results = run_bench(quick=ctx.quick)
         return EntryOutcome(
-            payload={"rows": [{
-                "name": r.name,
-                "points": r.points,
-                "speedup_vs_reference": r.speedup_vs_reference,
-                "ref_wall_s": r.ref_wall_s,
-            } for r in results]},
+            payload={"rows": [{"name": r.name, "points": r.points,
+                               "digest": r.digest} for r in results]},
             sections=())
     return ReproEntry(name="bench", kind="bench", titles=(), run=run,
-                      validation="bench-band", per_profile=True)
+                      per_profile=True)
 
 
 #: Every reproducible, in EXPERIMENTS.md document order (BENCH last:

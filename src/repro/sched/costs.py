@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..arch import BitBinding, CIMArchitecture, ComputingMode, VXBShape, bind
-from ..errors import ScheduleError
+from ..errors import ScheduleError, ShapeError
 from ..graph import Graph, Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -273,11 +273,12 @@ class CostModel:
         Convolutions stream output rows: a 3x3 successor needs ~kernel rows,
         i.e. ``k / OH`` of the output.  Token-wise ops (Gemm/MatMul) need one
         token: ``1 / T``.  Reductions (pooling over everything, softmax) need
-        the entire input: 1.0.
+        the entire input: 1.0.  An output without an inferred shape also
+        gets 1.0 (wait for everything); any other error propagates.
         """
         try:
             out_shape = graph.output_spec(node).shape
-        except Exception:
+        except ShapeError:
             return 1.0
         if node.op_type in ("GlobalAveragePool", "Softmax", "Flatten",
                             "Reshape", "Transpose"):

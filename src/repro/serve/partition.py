@@ -28,7 +28,7 @@ from ..arch import CIMArchitecture
 from ..errors import CapacityError, ScheduleError
 from ..graph import Graph
 from ..models import get_model
-from ..perf import CompileCache, fastpath_enabled
+from ..perf import CompileCache
 from ..sched import CIMMLC, CompilerOptions
 from ..sched.costs import CostModel
 from ..sched.placement import annotate_placement
@@ -37,13 +37,6 @@ from .workload import TenantSpec
 
 #: Serving plan modes.
 MODES = ("spatial", "temporal")
-
-
-def _implicit_cache() -> Optional[CompileCache]:
-    """A planner-owned :class:`~repro.perf.CompileCache` — an *implicit*
-    acceleration layer, so it is gated on the fast-path switch (an
-    explicit ``cache=`` argument is honoured regardless)."""
-    return CompileCache() if fastpath_enabled() else None
 
 
 @dataclass(frozen=True)
@@ -346,7 +339,7 @@ def plan_spatial(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     :class:`~repro.errors.CapacityError` when the mix cannot fit even at
     residency floors.
     """
-    cache = cache or _implicit_cache()
+    cache = cache or CompileCache()
     graphs = resolve_graphs(specs)
     floors = {s.name: min_cores(graphs[s.name], arch, cache=cache)
               for s in specs}
@@ -423,7 +416,7 @@ def plan_temporal(arch: CIMArchitecture, specs: Sequence[TenantSpec],
     (:class:`~repro.errors.CapacityError` — spatial partitioning can
     reshape instead).
     """
-    cache = cache or _implicit_cache()
+    cache = cache or CompileCache()
     graphs = resolve_graphs(specs)
     tenants: List[TenantPlan] = []
     if core_pool is not None:
@@ -493,7 +486,7 @@ def plan_sharded(system: "MultiChipSystem", specs: Sequence[TenantSpec],
     """
     from ..scale import min_chips, shard
 
-    cache = cache or _implicit_cache()
+    cache = cache or CompileCache()
     graphs = resolve_graphs(specs)
     floor_cm = CostModel(system.chip, cache=cache)
     floors = {s.name: min_chips(graphs[s.name], system.chip,

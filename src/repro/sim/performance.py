@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from ..arch import CIMArchitecture
-from ..perf import fastpath_enabled
 from ..perf.kernels import segment_cycles
-from ..sched.cg import pipelined_latency, sequential_latency
+from ..sched.cg import pipelined_latency
 from ..sched.costs import reconfiguration_cycles
 from ..sched.schedule import OpDecision, Schedule
 from .power import PowerModel, PowerReport
@@ -133,13 +132,11 @@ class PerformanceSimulator:
             recorder=None) -> PerformanceReport:
         """Simulate one inference under ``schedule``.
 
-        On the fast path every operator's latency and fill are evaluated
-        in one vectorized pass per segment
+        Every operator's latency and fill are evaluated in one
+        vectorized pass per segment
         (:func:`~repro.perf.kernels.segment_cycles`, the same kernel
-        behind :func:`~repro.sched.cg.pipelined_latency`); the reference
-        path evaluates them per-decision.  Both produce bit-identical
-        reports — the kernel preserves the reference's first-wins
-        bottleneck tie-breaking and left-to-right summation order.
+        behind :func:`~repro.sched.cg.pipelined_latency`): bottleneck
+        ties break first-wins and sums run left to right.
 
         ``recorder`` (a :class:`repro.trace.TraceRecorder`) optionally
         captures the run as a span timeline — per-segment
@@ -153,21 +150,12 @@ class PerformanceSimulator:
         reconf_total = 0.0
         multi_segment = len(schedule.segments) > 1
         weight_load = 0.0
-        fast = fastpath_enabled()
         for seg_idx in range(len(schedule.segments)):
             decisions = schedule.segment_decisions(seg_idx)
-            if fast and decisions:
-                lats, b_idx, cycles = segment_cycles(
-                    decisions, schedule.pipelined)
-                for d, lat in zip(decisions, lats):
-                    op_latency[d.profile.name] = float(lat)
-            else:
-                for d in decisions:
-                    op_latency[d.profile.name] = d.latency()
-                cycles = (pipelined_latency(decisions) if schedule.pipelined
-                          else sequential_latency(decisions))
-                b_idx = max(range(len(decisions)),
-                            key=lambda i: decisions[i].latency())
+            lats, b_idx, cycles = segment_cycles(decisions,
+                                                 schedule.pipelined)
+            for d, lat in zip(decisions, lats):
+                op_latency[d.profile.name] = float(lat)
             seg_profiles = {d.profile.name: d.profile for d in decisions}
             weight_load += reconfiguration_cycles(seg_profiles, self.arch)
             reconf = 0.0

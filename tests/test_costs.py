@@ -137,3 +137,26 @@ class TestHelpers:
         scores = profiles["block0_attn_scores"]
         assert not scores.is_cim
         assert scores.alu_cycles > 0
+
+
+class TestFillFraction:
+    """Only a missing output shape falls back to a full-latency fill;
+    every other error surfaces."""
+
+    def test_missing_output_shape_waits_for_everything(self):
+        graph = conv_relu_example()
+        node = graph.nodes[0]
+        del graph.tensors[node.outputs[0]]
+        assert CostModel(isaac_baseline())._fill_fraction(graph, node) \
+            == 1.0
+
+    def test_non_shape_error_propagates(self, monkeypatch):
+        graph = conv_relu_example()
+        node = graph.nodes[0]
+
+        def broken(node, index=0):
+            raise RuntimeError("corrupt tensor table")
+
+        monkeypatch.setattr(graph, "output_spec", broken)
+        with pytest.raises(RuntimeError, match="corrupt tensor table"):
+            CostModel(isaac_baseline())._fill_fraction(graph, node)

@@ -6,8 +6,8 @@ Three property families guard :mod:`repro.faults`:
   dead silicon and no shard stage exceeds its chip's surviving
   capacity (hypothesis generates the masks).
 * **Bit-identity** — a zero fault model reproduces the fault-free path
-  bit for bit across serve, fleet, shard, and trace, with the fast
-  path on or off.
+  bit for bit across serve, fleet, shard, and trace, and production
+  matches the scalar oracle (``tests/scalar_oracle.py``) under masks.
 * **Determinism** — fixed-seed degraded runs pin exact digests
   (engine, fleet, trace), and degraded recordings replay and analyze
   exactly like healthy ones.
@@ -16,6 +16,7 @@ Three property families guard :mod:`repro.faults`:
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import scalar_reference
 
 from repro.arch import MultiChipSystem, functional_testbed
 from repro.errors import CapacityError, CIMError, ScheduleError
@@ -29,7 +30,6 @@ from repro.faults import (
 )
 from repro.fleet import Autoscaler, build_fleet, simulate_fleet
 from repro.models import lenet
-from repro.perf import fastpath
 from repro.scale import shard
 from repro.serve import TenantSpec, make_plan, make_trace, simulate
 from repro.trace import (
@@ -228,17 +228,19 @@ class TestFuzzedMasks:
     @settings(max_examples=6, deadline=None)
     @given(fault=mask_strategy)
     def test_fastpath_digest_equality_under_mask(self, fault):
+        # Production against the scalar oracle, mask by mask.
         trace = _trace(n=80)
-        digests = []
-        for enabled in (False, True):
-            with fastpath(enabled):
-                try:
-                    plan = plan_degraded(ARCH, SPECS, fault)
-                except CapacityError:
-                    digests.append("infeasible")
-                    continue
-                digests.append(simulate(plan, trace).digest())
-        assert digests[0] == digests[1]
+
+        def digest():
+            try:
+                plan = plan_degraded(ARCH, SPECS, fault)
+            except CapacityError:
+                return "infeasible"
+            return simulate(plan, trace).digest()
+
+        fast = digest()
+        with scalar_reference():
+            assert digest() == fast
 
 
 # ---------------------------------------------------------------------------

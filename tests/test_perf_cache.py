@@ -1,14 +1,16 @@
-"""Fast path vs. reference: bit-identical results, observable reuse.
+"""Production vs. the scalar oracle: bit-identical results, observable
+reuse.
 
 Three layers of pinning:
 
 * **kernel equality** — every vectorized kernel (NoC costs, latency/
-  fill evaluation, duplication searches, placement scoring) produces
-  values ``==`` to the scalar reference across models, presets, and
-  topologies;
+  fill evaluation, duplication searches, refine-exchange, placement
+  scoring) produces values ``==`` to its plain-Python form in
+  ``tests/scalar_oracle.py`` across models, presets, topologies, and
+  degenerate inputs;
 * **report equality** — whole ``PerformanceReport`` /
-  ``MultiChipReport`` objects match field-for-field between the two
-  paths;
+  ``MultiChipReport`` objects and sweep summaries match field-for-field
+  between production and a run inside ``scalar_reference()``;
 * **cache behaviour** — :class:`repro.perf.CompileCache` hit counters
   prove profiles/duplication searches are shared, the sweep runner
   deduplicates identical points, and its worker pool persists across
@@ -17,7 +19,11 @@ Three layers of pinning:
   cache never share a schedule.
 """
 
+import types
+
 import pytest
+import scalar_oracle as oracle
+from scalar_oracle import scalar_reference
 
 from repro.arch import (
     MultiChipSystem,
@@ -29,9 +35,18 @@ from repro.arch import (
 from repro.explore import SweepPoint, SweepRunner, SweepSpace, level_series
 from repro.explore import runner as runner_mod
 from repro.models import lenet, mlp, resnet18, vit_tiny
-from repro.perf import CompileCache, fastpath, fastpath_enabled, set_fastpath
+from repro.perf import CompileCache, kernels
+from repro.perf.bench import run_bench
 from repro.sched import CIMMLC, CompilerOptions, no_optimization
-from repro.sched.cg import duplicate_min_bottleneck, duplicate_min_total
+from repro.sched.cg import (
+    _VECTORIZE_MIN_MVMS,
+    _refine_exchange,
+    _useful_dups,
+    duplicate_min_bottleneck,
+    duplicate_min_total,
+    pipelined_latency,
+    sequential_latency,
+)
 from repro.sched.costs import CostModel
 from repro.sched.placement import place_greedy
 from repro.scale import shard
@@ -52,19 +67,6 @@ def _report_fields(report):
     }
 
 
-class TestFastpathSwitch:
-    def test_toggle_and_context(self):
-        before = fastpath_enabled()
-        try:
-            assert set_fastpath(False) == before
-            assert not fastpath_enabled()
-            with fastpath(True):
-                assert fastpath_enabled()
-            assert not fastpath_enabled()
-        finally:
-            set_fastpath(before)
-
-
 class TestNocKernelEquality:
     @pytest.mark.parametrize("spec", [
         noc.mesh(1.0), noc.mesh(2.5), noc.mesh(1.0, grid=(4, 8)),
@@ -73,13 +75,12 @@ class TestNocKernelEquality:
         noc.matrix_noc([[0.5 * abs(i - j) + (0.1 if i == j else 0.0)
                          for j in range(32)] for i in range(32)]),
     ])
-    @pytest.mark.parametrize("n", [1, 2, 7, 17, 32])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 17, 32])
     def test_average_and_max_cost(self, spec, n):
-        with fastpath(False):
-            ref = (spec.average_cost(n), spec.max_cost(n))
-        with fastpath(True):
-            fast = (spec.average_cost(n), spec.max_cost(n))
-        assert ref == fast  # exact, not approx
+        prod = (spec.average_cost(n), spec.max_cost(n))
+        ref = (oracle.average_cost(spec, n), oracle.max_cost(spec, n))
+        assert prod == ref  # exact, not approx
+        assert all(isinstance(v, float) for v in prod)
 
 
 #: (model factory, architecture factory) pairs covering the three
@@ -96,35 +97,31 @@ class TestReportEquality:
     @pytest.mark.parametrize("model,arch_fn", CASES)
     def test_compile_reports_identical(self, model, arch_fn):
         arch = arch_fn()
-        with fastpath(False):
+        fast = CIMMLC(arch).compile(model())
+        with scalar_reference():
             ref = CIMMLC(arch).compile(model())
-        with fastpath(True):
-            fast = CIMMLC(arch).compile(model())
         assert _report_fields(ref.report) == _report_fields(fast.report)
 
     @pytest.mark.parametrize("model,arch_fn", CASES[:2])
     def test_baseline_reports_identical(self, model, arch_fn):
         arch = arch_fn()
-        with fastpath(False):
+        fast = no_optimization(model(), arch)
+        with scalar_reference():
             ref = no_optimization(model(), arch)
-        with fastpath(True):
-            fast = no_optimization(model(), arch)
         assert _report_fields(ref.report) == _report_fields(fast.report)
 
     def test_simulator_identical_on_one_schedule(self):
         arch = isaac_baseline()
         schedule = CIMMLC(arch).schedule(lenet())
-        with fastpath(False):
+        fast = PerformanceSimulator(arch).run(schedule)
+        with scalar_reference():
             ref = PerformanceSimulator(arch).run(schedule)
-        with fastpath(True):
-            fast = PerformanceSimulator(arch).run(schedule)
         assert _report_fields(ref) == _report_fields(fast)
 
     def test_multichip_report_identical(self):
-        with fastpath(False):
+        fast = shard(resnet18(), MultiChipSystem(isaac_baseline(), 2))
+        with scalar_reference():
             ref = shard(resnet18(), MultiChipSystem(isaac_baseline(), 2))
-        with fastpath(True):
-            fast = shard(resnet18(), MultiChipSystem(isaac_baseline(), 2))
         assert ref.stages == fast.stages
         assert ref.report.total_cycles == fast.report.total_cycles
         assert ref.report.steady_state_interval == \
@@ -145,21 +142,66 @@ class TestSearchKernelEquality:
         arch = arch_fn()
         profiles = list(CostModel(arch).profiles(model()).values())
         budget = arch.chip.core_number
-        with fastpath(False):
-            ref = (duplicate_min_bottleneck(profiles, budget),
-                   duplicate_min_total(profiles, budget))
-        with fastpath(True):
-            fast = (duplicate_min_bottleneck(profiles, budget),
-                    duplicate_min_total(profiles, budget))
+        fast = (duplicate_min_bottleneck(profiles, budget),
+                duplicate_min_total(profiles, budget))
+        ref = (oracle.duplicate_min_bottleneck(profiles, budget),
+               oracle.duplicate_min_total(profiles, budget))
         assert ref == fast
 
+    @pytest.mark.parametrize("model,arch_fn", CASES[:3])
+    def test_refine_exchange_identical(self, model, arch_fn):
+        # From the undivided start every operator is a candidate, so
+        # the whole move sequence (not just a no-op) is compared.
+        arch = arch_fn()
+        cim = [p for p in CostModel(arch).profiles(model()).values()
+               if p.is_cim]
+        budget = arch.chip.core_number
+        start = {p.name: 1 for p in cim}
+        assert _refine_exchange(cim, budget, dict(start)) == \
+            oracle.refine_exchange(cim, budget, dict(start))
+
+    @pytest.mark.parametrize("num_mvms", [_VECTORIZE_MIN_MVMS - 1,
+                                          _VECTORIZE_MIN_MVMS])
+    @pytest.mark.parametrize("cores_per_replica", [1, 3])
+    @pytest.mark.parametrize("budget", [1, 7, 64, 511, 4096])
+    def test_useful_dups_either_side_of_the_cutoff(
+            self, num_mvms, cores_per_replica, budget):
+        p = types.SimpleNamespace(num_mvms=num_mvms,
+                                  max_useful_dup=num_mvms,
+                                  cores_per_replica=cores_per_replica)
+        assert _useful_dups(p, budget) == oracle.useful_dups(p, budget)
+
     def test_placement_identical(self):
-        schedule = CIMMLC(isaac_baseline()).schedule(lenet())
-        with fastpath(False):
-            ref = place_greedy(schedule, io_anchor=0)
-        with fastpath(True):
-            fast = place_greedy(schedule, io_anchor=0)
-        assert ref == fast
+        for model, arch_fn in CASES[:3]:
+            schedule = CIMMLC(arch_fn()).schedule(model())
+            for seg in range(len(schedule.segments)):
+                for io_anchor in (None, 0):
+                    assert place_greedy(schedule, seg,
+                                        io_anchor=io_anchor) == \
+                        oracle.place_greedy(schedule, seg,
+                                            io_anchor=io_anchor)
+
+
+class TestSegmentLatency:
+    @pytest.mark.parametrize("model,arch_fn", CASES)
+    def test_latencies_and_bottleneck_identical(self, model, arch_fn):
+        schedule = CIMMLC(arch_fn()).schedule(model())
+        for seg in range(len(schedule.segments)):
+            decisions = schedule.segment_decisions(seg)
+            assert pipelined_latency(decisions) == \
+                oracle.pipelined_latency(decisions)
+            assert sequential_latency(decisions) == \
+                oracle.sequential_latency(decisions)
+            for pipelined in (True, False):
+                lats, b_idx, cycles = kernels.segment_cycles(
+                    decisions, pipelined)
+                assert (lats.tolist(), b_idx, cycles) == \
+                    oracle.segment_cycles(decisions, pipelined)
+
+    def test_empty_segment_is_float_zero(self):
+        for fn in (pipelined_latency, sequential_latency):
+            value = fn([])
+            assert value == 0.0 and isinstance(value, float)
 
 
 class TestCompileCache:
@@ -253,19 +295,6 @@ class TestSweepRunnerFastPath:
         assert result.results[0].summary == result.results[1].summary
         assert len(result) == 3                 # order and size preserved
 
-    def test_dedup_disabled_on_reference_path(self, monkeypatch):
-        base = functional_testbed()
-        graph = mlp()
-        space = SweepSpace([self._point("a", base, graph),
-                            self._point("twin", base, graph)])
-        calls = []
-        real = runner_mod.evaluate_point
-        monkeypatch.setattr(runner_mod, "evaluate_point",
-                            lambda p: calls.append(p.label) or real(p))
-        with fastpath(False):
-            result = SweepRunner().run(space)
-        assert result.deduped == 0 and len(calls) == 2
-
     def test_pool_persists_until_new_graph(self):
         base = functional_testbed()
         with SweepRunner(workers=2) as runner:
@@ -301,16 +330,34 @@ class TestSweepRunnerFastPath:
         assert [r.summary for r in serial] == [r.summary for r in parallel]
 
     def test_reference_path_matches_fast_path(self):
+        # Production (process cache, dedup, and a twin point) against
+        # the oracle: every point compiled alone on the scalar path.
         base = functional_testbed()
         series = level_series(["baseline", "CG"])
         def space():
             return SweepSpace.from_arch_points(
-                [("c8", base.with_cores(8))], mlp(), series=series)
-        with fastpath(False):
-            ref = SweepRunner().run(space())
-        with fastpath(True):
-            fast = SweepRunner().run(space())
-        assert [r.summary for r in ref] == [r.summary for r in fast]
+                [("c8", base.with_cores(8)), ("twin", base.with_cores(8))],
+                mlp(), series=series)
+        fast = SweepRunner().run(space())
+        assert fast.deduped == 2
+        with scalar_reference():
+            ref = oracle.sweep_summaries(space())
+        assert ref == [r.summary for r in fast]
+
+
+class TestBench:
+    def test_schema_and_digest_repeat_from_cold_caches(self):
+        first = run_bench(["duplication", "power"], quick=True)
+        second = run_bench(["duplication", "power"], quick=True)
+        for a, b in zip(first, second):
+            assert set(a.to_dict()) == {"name", "wall_s", "points", "digest"}
+            assert a.wall_s > 0 and len(a.digest) == 64
+            assert (a.name, a.points, a.digest) == \
+                (b.name, b.points, b.digest)
+
+    def test_unknown_benchmark_rejected(self):
+        with pytest.raises(KeyError):
+            run_bench(["no-such-bench"])
 
 
 class TestGraphSignature:

@@ -157,47 +157,6 @@ class TestQuickProfileEndToEnd:
         assert check.ok
 
 
-class TestBenchBandPolicy:
-    """The band validator mirrors check_regression.py plus the
-    short-reference-leg guard."""
-
-    @staticmethod
-    def _golden(ref_wall_s):
-        row = {"name": "perf_sim", "points": 20,
-               "speedup_vs_reference": 4.0}
-        if ref_wall_s is not None:
-            row["ref_wall_s"] = ref_wall_s
-        return {"payload": {"rows": [row]}}
-
-    @staticmethod
-    def _fresh(speedup):
-        return {"rows": [{"name": "perf_sim", "points": 20,
-                          "speedup_vs_reference": speedup,
-                          "ref_wall_s": 0.012}]}
-
-    def test_short_reference_leg_is_not_enforced(self):
-        from repro.reproduce.goldens import validate_bench_band
-        assert validate_bench_band(
-            self._fresh(1.5), self._golden(ref_wall_s=0.012)) == []
-
-    def test_long_reference_leg_is_enforced(self):
-        from repro.reproduce.goldens import validate_bench_band
-        failures = validate_bench_band(
-            self._fresh(1.5), self._golden(ref_wall_s=1.0))
-        assert failures and "below floor" in failures[0]
-
-    def test_legacy_golden_without_ref_wall_is_enforced(self):
-        from repro.reproduce.goldens import validate_bench_band
-        failures = validate_bench_band(
-            self._fresh(1.5), self._golden(ref_wall_s=None))
-        assert failures and "below floor" in failures[0]
-
-    def test_within_band_passes_regardless(self):
-        from repro.reproduce.goldens import validate_bench_band
-        assert validate_bench_band(
-            self._fresh(3.9), self._golden(ref_wall_s=1.0)) == []
-
-
 class TestReportSchema:
     """``reproduce_report.json`` round-trips exactly."""
 
@@ -212,10 +171,11 @@ class TestReportSchema:
                             wall_s=0.4, digest="a" * 64,
                             golden_digest="a" * 64),
                 EntryReport(name="bench", kind="bench",
-                            validation="bench-band", status="fail",
-                            wall_s=30.0,
-                            failures=["benchmark 'compile': speedup "
-                                      "1.00x below floor 2.00x"]),
+                            validation="exact", status="fail",
+                            wall_s=30.0, digest="b" * 64,
+                            golden_digest="c" * 64,
+                            failures=[f"digest mismatch: fresh {'b' * 16} "
+                                      f"!= golden {'c' * 16}"]),
             ])
 
     def test_round_trip(self):
@@ -233,7 +193,7 @@ class TestReportSchema:
     def test_table_names_failures(self):
         table = self._sample().table()
         assert "FAIL (bench)" in table
-        assert "below floor" in table
+        assert "digest mismatch" in table
 
 
 # -- digest property fuzz ---------------------------------------------------
