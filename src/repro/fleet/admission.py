@@ -6,7 +6,7 @@ attributable rejections instead.  :class:`AdmissionControl` screens every
 request *before* the router runs and yields one of four deterministic
 outcomes (:data:`REASONS`):
 
-* ``no_capacity`` — no active replica serves the tenant at all (e.g. the
+* ``no_capacity`` — no active replica is ready to serve (e.g. the
   autoscaler has everything beyond the minimum drained and the minimum
   set is still deploying).
 * ``queue`` — every capable replica already holds ``max_outstanding``

@@ -25,16 +25,19 @@ Time and energy accounting:
   never free, which is what makes energy-per-request vs. replica count
   an honest trade-off).
 
-Determinism is inherited, not re-proven: the shared event loop orders
-ties by push sequence, routers and the autoscaler are rebuilt from their
-own ``describe()``/config before every run (so their mutable state never
-leaks across runs), and nothing consumes randomness — same plan, trace,
-and knobs ⇒ bit-identical :class:`~repro.fleet.report.FleetReport`.
+Determinism is inherited, not re-proven: the shared event loop streams
+trace arrivals in (arrival, trace position) order ahead of same-time
+runtime events and orders runtime ties by push sequence, routers and
+the autoscaler are rebuilt from their own ``describe()``/config before
+every run (so their mutable state never leaks across runs), and nothing
+consumes randomness — same plan, trace, and knobs ⇒ bit-identical
+:class:`~repro.fleet.report.FleetReport`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
@@ -47,7 +50,7 @@ from ..serve.engine import (
     ReplicaCore,
     TimeoutBatch,
 )
-from ..serve.report import TenantStats, percentile
+from ..serve.report import TenantStats, percentiles
 from ..serve.workload import Request
 from .admission import AdmissionControl
 from .autoscaler import Autoscaler
@@ -172,18 +175,23 @@ class FleetEngine:
             deployments[rid] += 1
 
         front_rejected: Dict[str, int] = {name: 0 for name in slo_cycles}
+        for req in trace:
+            if req.tenant not in front_rejected:
+                raise ScheduleError(
+                    f"trace request for unknown tenant {req.tenant!r}")
         reasons: Dict[str, int] = {}
         tenant_outstanding: Dict[str, int] = {n: 0 for n in slo_cycles}
-        backlog_est: Dict[Tuple[int, str], float] = {}
+        # Every replica serves the same tenant set (FleetPlan invariant).
+        backlog_est: Dict[Tuple[int, str], float] = {
+            (rid, name): core.interval(name)
+            for rid, core in enumerate(cores) for name in slo_cycles}
         scale_events: List[Tuple[float, str, int]] = []
 
-        loop = EventLoop()
-        for req in trace:
-            loop.push(req.arrival, _ROUTE, req)
+        loop = EventLoop(trace, kind=_ROUTE)
+        last_arrival = loop.last_arrival
         if autoscaler is not None and trace:
-            last = trace[-1].arrival
             k = 1
-            while k * autoscaler.tick_cycles <= last:
+            while k * autoscaler.tick_cycles <= last_arrival:
                 loop.push(k * autoscaler.tick_cycles, _TICK, None)
                 k += 1
 
@@ -196,7 +204,6 @@ class FleetEngine:
         rerouted = 0
         rerouted_hops: List[Tuple[int, str, float]] = []
         death_info: Optional[Dict] = None
-        last_arrival = trace[-1].arrival if trace else 0.0
         if fault is not None:
             if fault.drift_interval is not None \
                     and fault.drift_interval <= last_arrival:
@@ -205,22 +212,25 @@ class FleetEngine:
                 loop.push(fault.chip_death_time, _FAIL,
                           fault.chip_death_rid)
 
-        def est(rid: int, tenant: str) -> float:
-            key = (rid, tenant)
-            if key not in backlog_est:
-                backlog_est[key] = cores[rid].interval(tenant)
-            return backlog_est[key]
+        # The active replicas that have finished deploying, rebuilt only
+        # when ``active`` changes (``ready = None``) or ``now`` reaches
+        # the earliest pending ``ready_at`` (``next_ready``).
+        ready: Optional[List[int]] = None
+        next_ready = math.inf
 
         while loop:
             now, kind, payload = loop.pop()
-            horizon = max(horizon, now)
+            if now > horizon:
+                horizon = now
             if kind == _ROUTE:
                 req = payload
-                capable = [rid for rid in active
-                           if ready_at[rid] <= now
-                           and cores[rid].serves(req.tenant)]
+                if ready is None or now >= next_ready:
+                    ready = [rid for rid in active if ready_at[rid] <= now]
+                    next_ready = min((ready_at[rid] for rid in active
+                                      if ready_at[rid] > now),
+                                     default=math.inf)
                 candidates, reason = self.admission.screen(
-                    req, capable, cores, slo_cycles, hop_rt,
+                    req, ready, cores, slo_cycles, hop_rt,
                     tenant_outstanding, tenant_share)
                 if reason is not None:
                     front_rejected[req.tenant] += 1
@@ -230,7 +240,7 @@ class FleetEngine:
                 core = cores[rid]
                 core.note_pending(req.tenant)
                 core.outstanding += 1
-                core.backlog_cycles += est(rid, req.tenant)
+                core.backlog_cycles += backlog_est[rid, req.tenant]
                 tenant_outstanding[req.tenant] += 1
                 link_energy += req_energy
                 loop.push(now + hop_in, _ARRIVAL, (rid, req))
@@ -243,7 +253,7 @@ class FleetEngine:
                     # (the request re-pays the inbound hop).
                     core.pending[req.tenant] -= 1
                     core.outstanding -= 1
-                    core.backlog_cycles -= est(rid, req.tenant)
+                    core.backlog_cycles -= backlog_est[rid, req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     rerouted += 1
                     loop.push(now, _ROUTE, req)
@@ -252,7 +262,7 @@ class FleetEngine:
                     # admission let it through (the front end's load
                     # signals are estimates, not reservations).
                     core.outstanding -= 1
-                    core.backlog_cycles -= est(rid, req.tenant)
+                    core.backlog_cycles -= backlog_est[rid, req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     reasons["replica_queue"] = \
                         reasons.get("replica_queue", 0) + 1
@@ -277,7 +287,7 @@ class FleetEngine:
                     # arrived and were never answered).
                     for req in batch:
                         core.outstanding -= 1
-                        core.backlog_cycles -= est(rid, req.tenant)
+                        core.backlog_cycles -= backlog_est[rid, req.tenant]
                         tenant_outstanding[req.tenant] -= 1
                         front_rejected[req.tenant] += 1
                         lost += 1
@@ -287,10 +297,11 @@ class FleetEngine:
                 core.on_complete(ex_name, batch, now, loop,
                                  latency_at=now + hop_out,
                                  dispatched=dispatched)
-                horizon = max(horizon, now + hop_out)
+                if now + hop_out > horizon:
+                    horizon = now + hop_out
                 for req in batch:
                     core.outstanding -= 1
-                    core.backlog_cycles -= est(rid, req.tenant)
+                    core.backlog_cycles -= backlog_est[rid, req.tenant]
                     tenant_outstanding[req.tenant] -= 1
                     link_energy += resp_energy
                     if recorder is not None:
@@ -311,6 +322,7 @@ class FleetEngine:
                         cycles, energy = plan.deploy_cost(rid)
                         active.append(rid)
                         active.sort()
+                        ready = None
                         ready_at[rid] = now + cycles
                         deploy_energy += energy
                         deployments[rid] += 1
@@ -325,6 +337,7 @@ class FleetEngine:
                                           rid=rid, energy=energy)
                 elif action == "down":
                     rid = active.pop()   # highest id drains
+                    ready = None
                     scale_events.append((now, "down", rid))
             elif kind == _READY:
                 # An executor finished a fault-injected stall: re-check
@@ -372,6 +385,7 @@ class FleetEngine:
                 spare = None
                 if was_active:
                     active.remove(rid)
+                    ready = None
                     scale_events.append((now, "fail", rid))
                     core = cores[rid]
                     # Flush undispatched queues back through the front
@@ -379,7 +393,7 @@ class FleetEngine:
                     for tenant, q in core.queues.items():
                         for req in q:
                             core.outstanding -= 1
-                            core.backlog_cycles -= est(rid, tenant)
+                            core.backlog_cycles -= backlog_est[rid, tenant]
                             tenant_outstanding[tenant] -= 1
                             rerouted += 1
                             rerouted_hops.append(
@@ -393,6 +407,7 @@ class FleetEngine:
                         cycles, energy = plan.deploy_cost(spare)
                         active.append(spare)
                         active.sort()
+                        ready = None
                         ready_at[spare] = now + cycles
                         deploy_energy += energy
                         deployments[spare] += 1
@@ -499,6 +514,7 @@ class FleetEngine:
             sizes = [s for core in cores for s in core.batch_sizes[name]]
             slo = slo_cycles[name]
             arrived = completed + rejected
+            p50, p95, p99, top = percentiles(lats, (50, 95, 99, 100))
             tenant_stats.append(TenantStats(
                 tenant=name,
                 model=t.spec.model,
@@ -507,11 +523,11 @@ class FleetEngine:
                 rejected=rejected,
                 throughput_per_mcycle=(completed * 1e6 / horizon
                                        if horizon > 0 else 0.0),
-                p50=percentile(lats, 50),
-                p95=percentile(lats, 95),
-                p99=percentile(lats, 99),
+                p50=p50,
+                p95=p95,
+                p99=p99,
                 mean_latency=sum(lats) / completed if completed else 0.0,
-                max_latency=max(lats) if lats else 0.0,
+                max_latency=top,
                 slo_cycles=slo,
                 slo_attainment=(sum(1 for lat in lats if lat <= slo)
                                 / arrived if arrived else 1.0),

@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..serve.report import TenantStats, percentile
+from ..serve.report import TenantStats, percentile, percentiles
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,7 @@ class FleetReport:
 
     def to_dict(self) -> Dict:
         """JSON-able export of the whole fleet outcome."""
+        p50, p95, p99 = percentiles(self._all_latencies(), (50, 95, 99))
         out = {
             "arch": self.arch,
             "fleet_size": self.fleet_size,
@@ -219,9 +220,9 @@ class FleetReport:
             "horizon_cycles": self.horizon_cycles,
             "completed": self.completed,
             "rejected": self.rejected,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
             "slo_attainment": self.slo_attainment,
             "utilization": self.utilization,
             "replica_energy": self.replica_energy,

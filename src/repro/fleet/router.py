@@ -33,8 +33,17 @@ from ..serve.workload import Request
 
 def _least_loaded(cores: Sequence[ReplicaCore],
                   candidates: Sequence[int]) -> int:
-    """Lowest estimated backlog among ``candidates``; ties by id."""
-    return min(candidates, key=lambda rid: (cores[rid].backlog_cycles, rid))
+    """Lowest estimated backlog among ``candidates``; ties by id.
+
+    ``candidates`` come in ascending id order, so keeping the first
+    strict minimum breaks ties toward the lowest id."""
+    best = candidates[0]
+    best_load = cores[best].backlog_cycles
+    for rid in candidates:
+        load = cores[rid].backlog_cycles
+        if load < best_load:
+            best, best_load = rid, load
+    return best
 
 
 class RoundRobin:

@@ -58,7 +58,13 @@ from .partition import (
     plan_temporal,
     resolve_graphs,
 )
-from .report import ExecutorStats, ServeReport, TenantStats, percentile
+from .report import (
+    ExecutorStats,
+    ServeReport,
+    TenantStats,
+    percentile,
+    percentiles,
+)
 from .sweep import ServeSweepPoint, build_plans, capacity_table, serve_sweep
 from .workload import (
     TRACES,
@@ -102,6 +108,7 @@ __all__ = [
     "parse_policy",
     "partition_cores",
     "percentile",
+    "percentiles",
     "plan_sharded",
     "plan_spatial",
     "plan_temporal",

@@ -8,8 +8,9 @@ head becomes a dispatchable batch; dispatch occupies the executor for
 tenant's weight-(re)program cost paid only when the executor's resident
 tenant changes.
 
-Everything is driven off a single event heap keyed ``(time, seq)`` with a
-monotonically increasing sequence number, so simulation order — and
+Everything is driven off one :class:`EventLoop`: the trace as a sorted
+arrival stream merged ahead of an event heap keyed ``(time, seq)`` with
+a monotonically increasing sequence number, so simulation order — and
 therefore every reported number — is a pure function of the trace, the
 plan, and the policy.  No wall clock, no RNG.
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
@@ -53,20 +55,43 @@ class FinishedRequest(NamedTuple):
 
 
 class EventLoop:
-    """A deterministic ``(time, seq)``-keyed event heap.
+    """A deterministic ``(time, seq)``-keyed event heap fed by an
+    arrival stream.
 
-    The single source of simulated time for one scenario.  Every pushed
-    event gets the next value of a monotonically increasing sequence
-    number, so two events at the same timestamp pop in push order —
-    simulation order is a pure function of the inputs, never of hash
+    The single source of simulated time for one scenario.  The trace's
+    requests form the *arrival stream*: stably sorted by ``arrival``
+    once, then consumed in order without ever entering the heap.  The
+    heap holds only runtime events (timers, completions, and whatever
+    the caller pushes); every pushed event gets the next value of a
+    monotonically increasing sequence number, so two heap events at the
+    same timestamp pop in push order.
+
+    :meth:`pop` merges the two: the stream head wins whenever its
+    arrival is at or before the heap top's time.  That is exactly the
+    order a single heap gave when every arrival was pushed (in trace
+    order) before the loop started — arrivals tie-broken among
+    themselves by trace position, and ahead of any runtime event at the
+    same timestamp because their sequence numbers were lower.
+    Simulation order is a pure function of the inputs, never of hash
     order or wall clock.
     """
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("_heap", "_seq", "_stream", "_next", "_kind")
 
-    def __init__(self) -> None:
+    def __init__(self, arrivals: Sequence[Request] = (),
+                 kind: int = _ARRIVAL) -> None:
         self._heap: List[Tuple[float, int, int, object]] = []
         self._seq = 0
+        self._stream: List[Request] = sorted(arrivals,
+                                              key=attrgetter("arrival"))
+        self._next = 0
+        #: Event kind :meth:`pop` reports for stream requests.
+        self._kind = kind
+
+    @property
+    def last_arrival(self) -> float:
+        """The latest arrival in the stream (0.0 for an empty trace)."""
+        return self._stream[-1].arrival if self._stream else 0.0
 
     def push(self, time: float, kind: int, payload: object) -> None:
         """Schedule ``payload`` of event ``kind`` at ``time``."""
@@ -75,14 +100,20 @@ class EventLoop:
 
     def pop(self) -> Tuple[float, int, object]:
         """The earliest ``(time, kind, payload)`` event."""
-        time, _, kind, payload = heapq.heappop(self._heap)
+        heap = self._heap
+        if self._next < len(self._stream):
+            req = self._stream[self._next]
+            if not heap or req.arrival <= heap[0][0]:
+                self._next += 1
+                return req.arrival, self._kind, req
+        time, _, kind, payload = heapq.heappop(heap)
         return time, kind, payload
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._stream) - self._next
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._heap) or self._next < len(self._stream)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +307,6 @@ class ReplicaCore:
 
     # ------------------------------------------------------------------
 
-    def serves(self, tenant: str) -> bool:
-        """Whether this core has a queue (and executor) for ``tenant``."""
-        return tenant in self.queues
-
     def note_pending(self, tenant: str) -> None:
         """Announce one future arrival for ``tenant`` (routed but not
         yet landed); pairs with the decrement inside :meth:`on_arrival`."""
@@ -341,7 +368,8 @@ class ReplicaCore:
         ex.energy += energy
         self.tenant_energy[best.spec.name] += energy
         self.batch_sizes[best.spec.name].append(len(batch))
-        self.horizon = max(self.horizon, done)
+        if done > self.horizon:
+            self.horizon = done
         if self.recorder is not None:
             self._record_batch(ex, best.spec.name, batch, now, switch,
                                service)
@@ -466,15 +494,14 @@ class ServingEngine:
         """
         core = ReplicaCore(self.plan, self.policy, max_queue=self.max_queue,
                            recorder=recorder)
-        loop = EventLoop()
         for req in trace:
             core.note_pending(req.tenant)
-        for req in trace:
-            loop.push(req.arrival, _ARRIVAL, req)
+        loop = EventLoop(trace)
 
         while loop:
             now, kind, payload = loop.pop()
-            core.horizon = max(core.horizon, now)
+            if now > core.horizon:
+                core.horizon = now
             if kind == _ARRIVAL:
                 core.on_arrival(payload, now, loop)
             elif kind == _TIMER:

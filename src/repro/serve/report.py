@@ -17,15 +17,26 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
+def percentiles(values: Sequence[float],
+                qs: Sequence[float]) -> List[float]:
+    """Nearest-rank percentiles (deterministic, no interpolation) of
+    ``values`` at each quantile of ``qs``, sorting once.  ``q = 100`` is
+    the maximum; an empty input gives 0.0 for every quantile."""
+    if not values:
+        return [0.0] * len(qs)
+    ordered = sorted(values)
+    out = []
+    for q in qs:
+        if not 0 < q <= 100:
+            raise ValueError(f"percentile must be in (0, 100], got {q}")
+        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+        out.append(ordered[rank - 1])
+    return out
+
+
 def percentile(latencies: Sequence[float], q: float) -> float:
     """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not latencies:
-        return 0.0
-    if not 0 < q <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {q}")
-    ordered = sorted(latencies)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
+    return percentiles(latencies, (q,))[0]
 
 
 @dataclass(frozen=True)
@@ -215,6 +226,7 @@ class ServeReport:
 
     def to_dict(self) -> Dict:
         """JSON-able export of the whole scenario outcome."""
+        p50, p95, p99 = percentiles(self._all_latencies(), (50, 95, 99))
         out = {
             "mode": self.mode,
             "arch": self.arch,
@@ -223,9 +235,9 @@ class ServeReport:
             "completed": self.completed,
             "rejected": self.rejected,
             "throughput_per_mcycle": self.throughput_per_mcycle,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
             "slo_attainment": self.slo_attainment,
             "utilization": self.utilization,
             "switch_cycles": self.switch_cycles,
@@ -312,6 +324,7 @@ def build_report(plan, policy_label: str,
         slo = tp.spec.slo_cycles if tp.spec.slo_cycles is not None \
             else slo_factor * tp.service.latency_cycles
         sizes = batch_sizes[name]
+        p50, p95, p99, top = percentiles(lats, (50, 95, 99, 100))
         tenant_stats.append(TenantStats(
             tenant=name,
             model=tp.spec.model,
@@ -320,11 +333,11 @@ def build_report(plan, policy_label: str,
             rejected=rejected[name],
             throughput_per_mcycle=(completed * 1e6 / horizon
                                    if horizon > 0 else 0.0),
-            p50=percentile(lats, 50),
-            p95=percentile(lats, 95),
-            p99=percentile(lats, 99),
+            p50=p50,
+            p95=p95,
+            p99=p99,
             mean_latency=sum(lats) / completed if completed else 0.0,
-            max_latency=max(lats) if lats else 0.0,
+            max_latency=top,
             slo_cycles=slo,
             slo_attainment=(sum(1 for lat in lats if lat <= slo)
                             / (completed + rejected[name])

@@ -463,16 +463,17 @@ def _replay_serving(trace: Trace, m: Mutation) -> ReplayResult:
 def _serving_metrics(latencies: Dict[str, List[Tuple[int, float]]],
                      horizon: float) -> Dict[str, Any]:
     """Latency percentiles per tenant + overall, from replayed chains."""
-    from ..serve.report import percentile
+    from ..serve.report import percentiles
 
     def stats(values: List[float]) -> Dict[str, float]:
+        p50, p95, p99, top = percentiles(values, (50, 95, 99, 100))
         return {
             "completed": len(values),
-            "p50": percentile(values, 50),
-            "p95": percentile(values, 95),
-            "p99": percentile(values, 99),
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
             "mean": sum(values) / len(values) if values else 0.0,
-            "max": max(values) if values else 0.0,
+            "max": top,
         }
 
     tenants = {t: stats([lat for _, lat in rows])

@@ -2,10 +2,12 @@
 
 Production runs one path: vectorized NoC cost aggregation, array-form
 duplication searches and refine-exchange, array-scored greedy
-placement, one-pass segment latencies, and implicit process-wide
-memos.  This module keeps the per-element loops those kernels replaced
-— one Python evaluation per core pair, per operator, per candidate —
-so the tests can check that production reproduces them bit for bit.
+placement, one-pass segment latencies, implicit process-wide memos, and
+a serving event loop that streams trace arrivals past its heap.  This
+module keeps the per-element loops those kernels replaced — one Python
+evaluation per core pair, per operator, per candidate, one heap entry
+per arrival — so the tests can check that production reproduces them
+bit for bit.
 
 Two ways to use it:
 
@@ -14,7 +16,8 @@ Two ways to use it:
 * run a whole pipeline inside :func:`scalar_reference`, which patches
   every production entry point with its oracle wherever a ``repro``
   module looks it up and clears the implicit memos, then compare the
-  report with a production run (the energy, faults and fleet suites).
+  report with a production run (the energy, faults, fleet and event
+  loop suites).
 """
 
 import contextlib
@@ -29,6 +32,7 @@ from repro.explore import runner as runner_mod
 from repro.perf import CompileCache, kernels
 from repro.perf.bench import clear_process_caches
 from repro.sched import cg, placement
+from repro.serve import engine
 
 # ---------------------------------------------------------------------------
 # NoC cost
@@ -336,6 +340,40 @@ def place_greedy(schedule, segment: int = 0,
 
 
 # ---------------------------------------------------------------------------
+# Event loop
+# ---------------------------------------------------------------------------
+
+
+class EventLoop:
+    """The heap-only event loop: every arrival is pushed onto the
+    ``(time, seq)`` heap, in trace order, before the loop starts, so
+    arrivals tie-break by trace position and ahead of any event pushed
+    later at the same time."""
+
+    def __init__(self, arrivals=(), kind: int = engine._ARRIVAL) -> None:
+        self._heap: List[Tuple[float, int, int, object]] = []
+        self._seq = 0
+        self.last_arrival = max((req.arrival for req in arrivals),
+                                default=0.0)
+        for req in arrivals:
+            self.push(req.arrival, kind, req)
+
+    def push(self, time: float, kind: int, payload: object) -> None:
+        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        self._seq += 1
+
+    def pop(self) -> Tuple[float, int, object]:
+        time, _, kind, payload = heapq.heappop(self._heap)
+        return time, kind, payload
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+
+# ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
@@ -351,7 +389,8 @@ def sweep_summaries(space) -> List[Dict]:
 # Whole-pipeline switch
 # ---------------------------------------------------------------------------
 
-#: Production function -> its oracle, patched wherever it is looked up.
+#: Production function (or class) -> its oracle, patched wherever it is
+#: looked up.
 _FUNCTIONS = [
     (cg.duplicate_min_total, duplicate_min_total),
     (cg.duplicate_min_bottleneck, duplicate_min_bottleneck),
@@ -359,6 +398,7 @@ _FUNCTIONS = [
     (cg.sequential_latency, sequential_latency),
     (kernels.segment_cycles, segment_cycles),
     (placement.place_greedy, place_greedy),
+    (engine.EventLoop, EventLoop),
 ]
 
 #: ``NocSpec`` methods replaced for the duration of the context.

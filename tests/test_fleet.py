@@ -341,6 +341,47 @@ class TestFleetEngine:
         assert report.active_peak > 1
         assert report.initial_active == 1
 
+    def test_router_sees_exactly_the_ready_active_replicas(self):
+        # Replay the scale-event ledger to the active set at each routing
+        # instant; replicas join the candidates once deployed and leave
+        # as soon as they are scaled down.  Arrivals sit off the tick
+        # and deploy-completion grid, so no two events tie.
+        class Recording(LeastLoaded):
+            def __init__(self):
+                self.seen = []
+
+            def route(self, req, now, cores, candidates):
+                self.seen.append((now, tuple(candidates)))
+                return super().route(req, now, cores, candidates)
+
+            def describe(self):
+                return "recording"
+
+        storm = requests("a", *[2 * i + 0.5 for i in range(400)])
+        tail = requests("a", *[1_000.5 + i * 250.0 for i in range(30)],
+                        start_index=400)
+        router = Recording()
+        report = simulate_fleet(
+            fleet(4, deploy_cycles=300.0), storm + tail,
+            policy=FixedBatch(4), router=router,
+            autoscaler=Autoscaler(tick_cycles=100.0, min_replicas=1,
+                                  up_threshold=6.0, down_threshold=2.0,
+                                  hold_ticks=2))
+        actions = [a for _, a, _ in report.scale_events]
+        assert "up" in actions and "down" in actions
+        for now, candidates in router.seen:
+            ready_at = {0: 0.0}
+            for t, action, rid in report.scale_events:
+                if t > now:
+                    break
+                if action == "up":
+                    ready_at[rid] = t + 300.0
+                else:
+                    del ready_at[rid]
+            assert candidates == tuple(sorted(
+                rid for rid, t in ready_at.items() if t <= now))
+        assert max(len(c) for _, c in router.seen) == report.active_peak
+
     def test_spin_up_pays_deploy_energy(self):
         storm = requests("a", *[float(i) for i in range(120)])
         scaler = Autoscaler(tick_cycles=100.0, min_replicas=1,
@@ -384,6 +425,14 @@ class TestFleetEngine:
                              router=RoundRobin(),
                              autoscaler=Autoscaler(tick_cycles=50.0))
         assert engine.run(trace).digest() == engine.run(trace).digest()
+
+    @pytest.mark.parametrize("admission", [
+        None, AdmissionControl(max_outstanding=4)])
+    def test_unknown_tenant_rejected(self, admission):
+        trace = requests("a", 0.0) + requests("ghost", 5.0, start_index=1)
+        with pytest.raises(ScheduleError,
+                           match="trace request for unknown tenant 'ghost'"):
+            simulate_fleet(fleet(2), trace, admission=admission)
 
     def test_autoscaler_floor_must_fit_fleet(self):
         with pytest.raises(ScheduleError):

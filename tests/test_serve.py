@@ -26,6 +26,7 @@ from repro.serve import (
     parse_policy,
     partition_cores,
     percentile,
+    percentiles,
     plan_spatial,
     plan_temporal,
     poisson_trace,
@@ -229,6 +230,33 @@ class TestEngine:
         assert percentile([5.0], 99) == 5.0
         with pytest.raises(ValueError):
             percentile(lats, 0)
+
+    def test_percentiles_match_percentile_over_the_quantile_range(self):
+        lats = [float((7 * i) % 23) for i in range(23)]
+        qs = [0.5, 1, 4.35, 25, 50, 50.5, 95, 99, 99.9, 100]
+        assert percentiles(lats, qs) == [percentile(lats, q) for q in qs]
+        for n in (1, 2, 3, 10):
+            qs = [100 * k / n for k in range(1, n + 1)]
+            assert percentiles(lats[:n], qs) == \
+                [percentile(lats[:n], q) for q in qs]
+        assert percentiles(lats, (100,)) == [max(lats)]
+        # Nearest rank: the smallest value with at least q% of the
+        # sample at or below it.
+        for q in qs:
+            assert percentile(lats, q) == min(
+                v for v in lats
+                if sum(1 for x in lats if x <= v) >= q / 100 * len(lats))
+
+    def test_percentiles_of_empty_input_are_zero(self):
+        assert percentiles([], (50, 95, 99)) == [0.0, 0.0, 0.0]
+        assert percentile([], 50) == 0.0
+
+    @pytest.mark.parametrize("q", [0, -1, 100.5])
+    def test_percentiles_reject_out_of_range_quantiles(self, q):
+        with pytest.raises(ValueError):
+            percentiles([1.0, 2.0], (50, q))
+        with pytest.raises(ValueError):
+            percentile([1.0, 2.0], q)
 
 
 # ---------------------------------------------------------------------------
