@@ -11,7 +11,7 @@ capacity quantities used throughout scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ArchitectureError, ModeError
@@ -83,10 +83,6 @@ class CIMArchitecture:
     # ------------------------------------------------------------------
     # Variation helpers (sensitivity studies, Fig. 22)
     # ------------------------------------------------------------------
-
-    def with_mode(self, mode: ComputingMode) -> "CIMArchitecture":
-        """Same hardware, different exposed programming interface."""
-        return replace(self, mode=mode)
 
     def with_cores(self, core_number: int) -> "CIMArchitecture":
         """Vary the chip-tier core count (Fig. 22(a))."""

@@ -22,9 +22,8 @@ never weight reprogramming.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List
 
 from ..errors import ArchitectureError
 from .architecture import CIMArchitecture
@@ -232,10 +231,6 @@ class MultiChipSystem:
         topology = ("fully-connected" if self.topology == "fully-connected"
                     else "chain")
         return replace(self, num_chips=num_chips, topology=topology)
-
-    def with_link(self, link: ChipLink) -> "MultiChipSystem":
-        """Same chips and count, different link (bandwidth sweeps)."""
-        return replace(self, link=link)
 
     def describe(self) -> dict:
         """JSON-able abstraction dictionary (Fig. 17-19 style, one tier up).

@@ -225,6 +225,7 @@ def cmd_codegen(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    from .errors import CIMError
     from .explore import (
         SweepRunner,
         SweepSpace,
@@ -252,7 +253,7 @@ def cmd_sweep(args) -> None:
         space = SweepSpace.grid(base, graph, vary, series=series)
         objectives = resolve_objectives(
             [o.strip() for o in args.objectives.split(",") if o.strip()])
-    except Exception as exc:
+    except (CIMError, ValueError) as exc:
         raise SystemExit(str(exc))
 
     if args.workers < 1:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import GraphError, ShapeError
 from .node import Node
@@ -152,10 +152,6 @@ class Graph:
         if spec is None:
             raise ShapeError(f"output {name!r} has no spec; run infer_shapes()")
         return spec
-
-    def weight_inputs(self, node: Node) -> List[TensorSpec]:
-        """Weight tensors consumed by ``node``."""
-        return [s for s in self.input_specs(node) if s.is_weight]
 
     def weight_matrix(self, node: Node) -> Optional[WeightMatrix]:
         """The (R, C, bits) crossbar view of ``node``'s weights, if CIM-able."""

@@ -1,23 +1,31 @@
-"""Vectorized (numpy) kernels for the scheduler/simulator hot loops.
+"""Hot-loop kernels of the scheduler, simulator and NoC model.
 
-Every kernel here replaces a per-operator Python loop (the *reference*,
-kept as a test oracle in ``tests/scalar_oracle.py``) with array math
-while producing **bit-identical** results, so the golden regressions and
-the cached-vs-live sweeps stay value-exact:
+Each kernel is value-identical to the plain per-element loop it stands
+for (kept as a test oracle in ``tests/scalar_oracle.py``), so the
+golden regressions and the cached-vs-live sweeps stay bit-exact.  Each
+takes the form that is faster at the input sizes real compiles produce
+(``docs/PERFORMANCE.md`` records the timings):
+
+* :func:`segment_cycles` is plain Python: segments are a handful of
+  operators, where numpy's per-call dispatch costs more than the loop;
+* the min-total search's jump-chain table (:class:`DupLatencyColumns`,
+  :func:`level_latency_table`), its refine-exchange frontier
+  (:class:`RefineExchange`) and the NoC hop matrices are numpy: they
+  work on hundreds to thousands of cells at once.
+
+Where array and scalar forms must agree, they agree operation by
+operation:
 
 * elementwise steps (``ceil``, ``floor-divide``, ``min``/``max``,
-  multiply, add) are single IEEE-754 operations in both paths, so the
-  vectorized form rounds exactly like the scalar form;
-* reductions that the reference computes as a left-to-right Python
-  ``sum`` use :func:`seq_sum` (``np.add.accumulate``), which applies the
-  same left-to-right addition order — *not* ``np.sum``, whose pairwise
-  summation would round differently;
-* argmax-style selections keep the reference's first-wins tie-breaking
-  (``np.argmax`` returns the first maximal index, exactly like
-  ``list.index(max(...))``).
+  multiply, add) are single IEEE-754 operations in both forms;
+* ordered reductions add left to right (:func:`seq_sum` uses
+  ``np.add.accumulate``, *not* ``np.sum``, whose pairwise summation
+  would round differently);
+* argmax-style selections keep first-wins tie-breaking (``np.argmax``
+  and ``list.index(max(...))`` both return the first maximal index).
 
 ``tests/test_perf_cache.py`` pins the equivalence against the oracle on
-model/preset pairs and degenerate inputs.
+model/preset pairs, synthetic segments and degenerate inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import numpy as np
 
 
 def seq_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, bit-identical to Python's ``sum()``.
+    """Left-to-right float sum, bit-identical to a plain ``for`` loop.
 
     ``np.add.accumulate`` is a sequential prefix scan, so its last
     element applies the additions in exactly the reference order
@@ -41,106 +49,12 @@ def seq_sum(values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Operator latency / fill evaluation
+# Segment latency
 # ---------------------------------------------------------------------------
 
 
-class ProfileArrays:
-    """Column view of a profile sequence for batched latency evaluation.
-
-    Mirrors :meth:`repro.sched.costs.OpProfile.latency` /
-    :meth:`~repro.sched.costs.OpProfile.fill_cycles` field-for-field; the
-    integer fields stay exact in float64 far beyond any reachable
-    magnitude (products stay orders of magnitude below 2**53).
-    """
-
-    def __init__(self, profiles: Sequence) -> None:
-        as_f = np.asarray
-        self.is_cim = as_f([p.is_cim for p in profiles], dtype=bool)
-        self.num_mvms = as_f([p.num_mvms for p in profiles], dtype=np.float64)
-        self.max_useful_dup = as_f([p.max_useful_dup for p in profiles],
-                                   dtype=np.float64)
-        self.input_passes = as_f([p.input_passes for p in profiles],
-                                 dtype=np.float64)
-        self.row_waves = as_f([p.row_waves for p in profiles],
-                              dtype=np.float64)
-        self.seq_passes = as_f([p.seq_passes for p in profiles],
-                               dtype=np.float64)
-        self.reload_cycles = as_f([p.reload_cycles for p in profiles],
-                                  dtype=np.float64)
-        self.alu_cycles = as_f([p.alu_cycles for p in profiles],
-                               dtype=np.float64)
-        self.mov_cycles = as_f([p.mov_cycles for p in profiles],
-                               dtype=np.float64)
-        self.fill_fraction = as_f([p.fill_fraction for p in profiles],
-                                  dtype=np.float64)
-        self.cores_per_replica = as_f([p.cores_per_replica for p in profiles],
-                                      dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.is_cim)
-
-    def latencies(self, dup: np.ndarray, wave_reduction: np.ndarray,
-                  window_waves: np.ndarray,
-                  has_window_waves: np.ndarray) -> np.ndarray:
-        """``OpProfile.latency`` over all rows in one pass.
-
-        ``window_waves`` holds the per-row override where
-        ``has_window_waves`` is True (the value is ignored elsewhere).
-        """
-        dup = np.asarray(dup, dtype=np.float64)
-        wave_reduction = np.asarray(wave_reduction, dtype=np.float64)
-        # CIM rows: windows = ceil(num_mvms / min(dup, max_useful_dup)).
-        eff_dup = np.minimum(dup, self.max_useful_dup)
-        windows = np.ceil(self.num_mvms / np.maximum(eff_dup, 1.0))
-        # mvm_cycles(wave_reduction) = input_passes * max(1, ceil(...)).
-        waves = np.ceil(self.row_waves / np.maximum(1.0, wave_reduction))
-        mvm = self.input_passes * np.maximum(1.0, waves)
-        compute = np.where(
-            has_window_waves,
-            windows * self.input_passes * window_waves,
-            windows * mvm * self.seq_passes,
-        )
-        compute = compute + self.seq_passes * self.reload_cycles
-        cim_lat = np.maximum(compute, self.mov_cycles) + self.alu_cycles
-        # Digital rows: max(alu, mov).
-        digital_lat = np.maximum(self.alu_cycles, self.mov_cycles)
-        return np.where(self.is_cim, cim_lat, digital_lat)
-
-    def fills(self, latencies: np.ndarray) -> np.ndarray:
-        """``OpProfile.fill_cycles`` (latency × fill fraction) per row."""
-        return latencies * self.fill_fraction
-
-
-def decision_columns(decisions: Sequence
-                     ) -> Tuple[ProfileArrays, np.ndarray, np.ndarray,
-                                np.ndarray, np.ndarray]:
-    """Split a decision sequence into (profiles, dup, wave, window, mask).
-
-    The returned arrays feed :meth:`ProfileArrays.latencies` to evaluate
-    every :meth:`~repro.sched.schedule.OpDecision.latency` at once.
-    """
-    cols = ProfileArrays([d.profile for d in decisions])
-    dup = np.asarray([d.dup for d in decisions], dtype=np.float64)
-    wave = np.asarray([d.wave_reduction for d in decisions],
-                      dtype=np.float64)
-    has_ww = np.asarray([d.window_waves is not None for d in decisions],
-                        dtype=bool)
-    ww = np.asarray([0 if d.window_waves is None else d.window_waves
-                     for d in decisions], dtype=np.float64)
-    return cols, dup, wave, ww, has_ww
-
-
-def decision_latencies_fills(decisions: Sequence
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-    """(latency, fill) arrays matching per-decision scalar evaluation."""
-    cols, dup, wave, ww, has_ww = decision_columns(decisions)
-    lats = cols.latencies(dup, wave, ww, has_ww)
-    return lats, cols.fills(lats)
-
-
 def segment_cycles(decisions: Sequence,
-                   pipelined: bool) -> Tuple[np.ndarray, int, float]:
+                   pipelined: bool) -> Tuple[List[float], int, float]:
     """(latencies, bottleneck index, segment cycles) in one pass.
 
     The single body shared by
@@ -149,85 +63,31 @@ def segment_cycles(decisions: Sequence,
     :meth:`repro.sim.performance.PerformanceSimulator.run`, so the
     bit-identity-critical bottleneck/fill-spill formula exists exactly
     once.  Pipelined: bottleneck latency plus the other operators'
-    fills (``np.argmax`` keeps the reference's first-wins tie-breaking,
-    :func:`seq_sum` its left-to-right fill summation).  Sequential: the
-    ordered latency sum.
+    fills (``OpDecision.fill`` is the latency times the fill fraction);
+    the bottleneck is the first maximal latency.  Sequential: the
+    ordered latency sum.  Both sums add left to right in an explicit
+    loop, because ``sum()`` of floats is compensated from Python 3.12 on
+    and would round differently.
     """
-    lats, fills = decision_latencies_fills(decisions)
-    b_idx = int(lats.argmax())
+    lats = [d.latency() for d in decisions]
+    bottleneck = max(lats)
+    b_idx = lats.index(bottleneck)
+    total = 0.0
     if pipelined:
-        spill = seq_sum(fills) - float(fills[b_idx])
-        cycles = float(lats[b_idx]) + max(0.0, spill)
+        for d, lat in zip(decisions, lats):
+            total += lat * d.profile.fill_fraction
+        spill = total - bottleneck * decisions[b_idx].profile.fill_fraction
+        cycles = bottleneck + max(0.0, spill)
     else:
-        cycles = seq_sum(lats)
+        for lat in lats:
+            total += lat
+        cycles = total
     return lats, b_idx, cycles
 
 
 # ---------------------------------------------------------------------------
-# Duplication search
+# Min-total duplication search
 # ---------------------------------------------------------------------------
-
-
-def useful_dup_options(num_mvms: int, cap: int) -> np.ndarray:
-    """Duplication values where ``ceil(num_mvms / d)`` changes.
-
-    Vectorized form of the ``_useful_dups`` scan: for every window count
-    ``k`` in ``[1, num_mvms)`` the smallest achieving duplication is
-    ``ceil(num_mvms / k)`` — computed with the same float division +
-    ceil as the reference, filtered to ``<= cap``, deduplicated, and
-    joined with the mandatory ``{1, max(1, cap)}`` endpoints.
-    """
-    options = {1, max(1, int(cap))}
-    if num_mvms > 1:
-        k = np.arange(1, num_mvms, dtype=np.float64)
-        d = np.ceil(num_mvms / k)
-        d = d[d <= cap]
-        # The set dedups; np.unique would also work but lazily imports
-        # numpy.ma on first use, a ~10ms stall inside timed regions.
-        options.update(d.astype(np.int64).tolist())
-    return np.array(sorted(options), dtype=np.int64)
-
-
-class BottleneckSearch:
-    """Array state for the min-bottleneck duplication binary search.
-
-    Precomputes per-operator columns once so each of the ~60 bisection
-    steps evaluates ``dup_for_target`` / ``cost`` as a handful of array
-    expressions instead of a Python loop over operators.  Matches
-    ``duplicate_min_bottleneck``'s scalar helpers operation for
-    operation (float divisions, floor-divide, ceil, clamps).
-    """
-
-    def __init__(self, cim: Sequence, budget: int) -> None:
-        self.budget = budget
-        self.cores = np.asarray([p.cores_per_replica for p in cim],
-                                dtype=np.float64)
-        self.num_mvms = np.asarray([p.num_mvms for p in cim],
-                                   dtype=np.float64)
-        self.max_dup = np.asarray([p.max_useful_dup for p in cim],
-                                  dtype=np.float64)
-        self.mvm = np.asarray([p.mvm_cycles_base for p in cim],
-                              dtype=np.float64)
-        self.alu = np.asarray([p.alu_cycles for p in cim], dtype=np.float64)
-        mov = np.asarray([p.mov_cycles for p in cim], dtype=np.float64)
-        # Duplication-independent floor: max(mov, mvm) + alu.
-        self.floor = np.maximum(mov, self.mvm) + self.alu
-        self.infeasible = self.max_dup + budget + 1
-
-    def dup_for_target(self, target: float) -> np.ndarray:
-        """Smallest per-op duplication meeting ``target`` (marker when
-        unreachable), as float64 integers."""
-        compute_budget = target - self.alu
-        windows_per_replica = np.floor_divide(compute_budget, self.mvm)
-        dups = np.minimum(
-            self.max_dup,
-            np.ceil(self.num_mvms / np.maximum(1.0, windows_per_replica)))
-        return np.where(target < self.floor, self.infeasible, dups)
-
-    def cost(self, target: float) -> float:
-        """Total cores of the cheapest feasible duplication for
-        ``target`` (exact: integer-valued float64 products and sums)."""
-        return float(np.add.reduce(self.cores * self.dup_for_target(target)))
 
 
 class DupLatencyColumns:
@@ -271,15 +131,6 @@ class DupLatencyColumns:
         windows = np.ceil(self.num_mvms / np.maximum(eff, 1.0))
         compute = windows * self.per_window + self.base
         return np.maximum(compute, self.mov) + self.alu
-
-    def latency_at(self, i: int, dup: float) -> float:
-        """Scalar ``p.latency(dup)`` for operator ``i`` (same IEEE ops
-        as :meth:`latency`, for incremental greedy updates)."""
-        eff = min(float(dup), float(self.max_dup[i]))
-        windows = math.ceil(float(self.num_mvms[i]) / max(eff, 1.0))
-        compute = windows * float(self.per_window[i]) + float(self.base[i])
-        mov = float(self.mov[i])
-        return (compute if compute > mov else mov) + float(self.alu[i])
 
 
 #: Sentinel padding the ragged per-operator useful-level table; large

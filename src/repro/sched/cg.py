@@ -28,16 +28,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..arch import CIMArchitecture
-from ..errors import CapacityError, ScheduleError
+from ..errors import CapacityError
 from ..graph import Graph
 from ..perf import CompileCache
 from ..perf.kernels import (
-    BottleneckSearch,
     DupLatencyColumns,
     RefineExchange,
     level_latency_table,
     segment_cycles,
-    useful_dup_options,
 )
 from .costs import CostModel, OpProfile
 from .schedule import OpDecision, Schedule
@@ -68,11 +66,8 @@ def _useful_dups(p: OpProfile, budget: int,
     """Duplication values where the latency actually changes.
 
     ``ceil(num_mvms / d)`` takes O(sqrt(num_mvms)) distinct values; only the
-    smallest ``d`` achieving each value matters.  From
-    :data:`_VECTORIZE_MIN_MVMS` windows up the set comes from one
-    vectorized scan, below it from the Python walk over window counts;
-    the curve is memoized per ``(num_mvms, cap)`` — the only two
-    quantities it depends on.
+    smallest ``d`` achieving each value matters.  The curve is memoized
+    per ``(num_mvms, cap)`` — the only two quantities it depends on.
     """
     cap = min(p.max_useful_dup, budget // p.cores_per_replica)
     key = ("useful", p.num_mvms, cap)
@@ -80,33 +75,30 @@ def _useful_dups(p: OpProfile, budget: int,
         hit = cache.get_useful_dups(key)
         if hit is not None:
             return hit
-    if p.num_mvms >= _VECTORIZE_MIN_MVMS:
-        result = useful_dup_options(p.num_mvms, cap).tolist()
-    else:
-        result = _useful_dups_scan(p.num_mvms, cap)
+    result = _useful_dups_scan(p.num_mvms, cap)
     if cache is not None:
         cache.put_useful_dups(key, result)
     return result
 
 
-#: Below this window count the Python scan beats the numpy kernel (array
-#: setup dominates); both produce the identical set, so the cutoff is a
-#: pure tuning knob.
-_VECTORIZE_MIN_MVMS = 512
-
-
 def _useful_dups_scan(num_mvms: int, cap: int) -> List[int]:
-    """Python scan over window counts (see :func:`_useful_dups`)."""
-    options = {1}
-    windows = num_mvms
-    k = math.ceil(windows / 1)
-    while k > 1:
-        k -= 1
-        d = math.ceil(windows / k)
-        if d > cap:
-            continue
-        options.add(d)
-    options.add(max(1, cap))
+    """``{ceil(num_mvms / k) <= cap : 1 <= k < num_mvms} | {1, max(1,
+    cap)}``, sorted.
+
+    Walks the distinct values of ``ceil(num_mvms / k)`` instead of every
+    ``k``: from the first ``k`` whose value fits ``cap``, each step
+    jumps to the first ``k`` with a smaller value, so the scan takes
+    O(min(cap, sqrt(num_mvms))) steps.  Integer ceilings equal the float
+    ``math.ceil(num_mvms / k)`` of the plain scan for any
+    ``num_mvms < 2**53``.
+    """
+    options = {1, max(1, cap)}
+    if cap >= 2:
+        k = max(1, -(-num_mvms // cap))
+        while k < num_mvms:
+            d = -(-num_mvms // k)           # >= 2 because k < num_mvms
+            options.add(d)
+            k = -(-num_mvms // (d - 1))
     return sorted(options)
 
 
@@ -200,7 +192,8 @@ def _duplicate_min_total(profiles: Sequence[OpProfile], budget: int,
     # next_jump from a useful level always lands on the *next* useful
     # level (the smallest duplication shrinking the window count by
     # one, clamped to max_useful_dup), so the whole jump chain and
-    # its latencies can be tabulated vectorized up front — capped at
+    # its latencies can be tabulated in one numpy pass up front (the
+    # chains of a real segment hold thousands of levels) — capped at
     # max_useful_dup, not the budget, exactly like next_jump.  Only
     # partial jumps leave the chain and fall back to the formula.
     chain_lists = [_useful_dups(p, p.max_useful_dup
@@ -290,8 +283,9 @@ def _refine_exchange(cim: List[OpProfile], budget: int,
     plus (when needed) lowering a single donor operator, accepting the
     best strictly-improving move until none remains.
 
-    Each iteration evaluates the whole candidate frontier as array
-    expressions (:class:`~repro.perf.kernels.RefineExchange`): the best
+    Each iteration evaluates the whole candidate frontier — every
+    (raise, donor) operator pair — as array expressions
+    (:class:`~repro.perf.kernels.RefineExchange`): the best
     move is the smallest ``(-gain, up name, d_up, down name, d_down)``
     tuple, first-wins on ties.
     """
@@ -325,9 +319,10 @@ def duplicate_min_bottleneck(profiles: Sequence[OpProfile],
 
     Binary search over the target bottleneck ``T``: the cheapest feasible
     duplication for a target is ``d_i = ceil(compute_i / T)``, so feasibility
-    is monotone in ``T``.  The ~60 bisection steps evaluate the
-    per-operator feasibility test as array expressions
-    (:class:`~repro.perf.kernels.BottleneckSearch`), and the whole result
+    is monotone in ``T``.  Each of the 60 bisection steps runs the
+    per-operator feasibility test in plain Python over constants folded
+    once per call (segments are mostly one to a few operators, where
+    numpy's per-call dispatch would dominate), and the whole result
     is memoized on ``(profile tuple, budget)`` in the caller's
     :class:`~repro.perf.CompileCache` (the implicit process-wide memo
     when the caller passes none).
@@ -355,42 +350,67 @@ def _duplicate_min_bottleneck(profiles: Sequence[OpProfile],
             f"operators need {base_cores} cores, chip has {budget}"
         )
 
-    search = BottleneckSearch(cim, budget)
+    # Per-operator constants of the feasibility test; the last one is
+    # the duplication-independent latency floor max(mov, mvm) + alu.
+    consts = [(p.cores_per_replica, p.num_mvms, p.max_useful_dup,
+               p.mvm_cycles_base, p.alu_cycles,
+               max(p.mov_cycles, p.mvm_cycles_base) + p.alu_cycles)
+              for p in cim]
+    ceil = math.ceil
+
+    def fits(target: float) -> bool:
+        """Whether the cheapest duplication meeting ``target`` fits the
+        budget.  Every term is a positive integer, so the scan stops at
+        the first unreachable floor or budget overrun."""
+        cost = 0
+        for cores, num, max_dup, mvm, alu, floor in consts:
+            if target < floor:
+                return False
+            # Windows one replica finishes by the target (float floor
+            # division, at least one), then the duplication covering
+            # every MVM, capped at the useful maximum.
+            per_replica = (target - alu) // mvm
+            d = ceil(num / per_replica) if per_replica > 1.0 else num
+            cost += cores * (d if d < max_dup else max_dup)
+            if cost > budget:
+                return False
+        return True
+
     lo = max(p.mvm_cycles_base for p in cim)              # best possible
     hi = max(p.latency(1) for p in cim)                   # no duplication
-    if search.cost(hi) > budget:
+    if not fits(hi):
         raise CapacityError("even duplication 1 exceeds the core budget")
     # Binary search on achievable bottleneck (continuous, then round).
     for _ in range(60):
         mid = (lo + hi) / 2
-        if search.cost(mid) <= budget:
+        if fits(mid):
             hi = mid
         else:
             lo = mid
-    final = search.dup_for_target(hi)
-    for i, p in enumerate(cim):
-        dups[p.name] = max(1, int(final[i]))
-    # Spend leftover cores on the current bottleneck greedily: latencies
-    # are maintained incrementally with the scalar formula, and
-    # np.argmax breaks bottleneck ties first-wins.
-    used = sum(p.cores_per_replica * dups[p.name] for p in cim)
-    remaining = budget - used
-    table = DupLatencyColumns(cim)
-    dvec = np.asarray([dups[p.name] for p in cim], dtype=np.int64)
-    lats = table.latency(dvec)
+    dvec = []
+    for _, num, max_dup, mvm, alu, _ in consts:   # as in fits(hi)
+        per_replica = (hi - alu) // mvm
+        d = ceil(num / per_replica) if per_replica > 1.0 else num
+        dvec.append(d if d < max_dup else max_dup)
+    # Spend leftover cores on the current bottleneck greedily
+    # (list.index of the max breaks bottleneck ties first-wins).
+    remaining = budget - sum(p.cores_per_replica * d
+                             for p, d in zip(cim, dvec))
+    lats = [p.latency(d) for p, d in zip(cim, dvec)]
     while remaining > 0:
-        b = int(lats.argmax())
+        worst = max(lats)
+        b = lats.index(worst)
         p = cim[b]
-        if (int(dvec[b]) >= p.max_useful_dup
-                or p.cores_per_replica > remaining
-                or table.latency_at(b, int(dvec[b]) + 1)
-                >= float(lats[b])):
+        if dvec[b] >= p.max_useful_dup or p.cores_per_replica > remaining:
+            break
+        lat = p.latency(dvec[b] + 1)
+        if lat >= worst:
             break
         dvec[b] += 1
-        lats[b] = table.latency_at(b, int(dvec[b]))
+        lats[b] = lat
         remaining -= p.cores_per_replica
-    for i, p in enumerate(cim):
-        dups[p.name] = int(dvec[i])
+    for p, d in zip(cim, dvec):
+        dups[p.name] = d
     return dups
 
 
@@ -453,9 +473,8 @@ def pipelined_latency(decisions: Sequence[OpDecision]) -> float:
     """Latency of one pipelined segment: bottleneck plus fills (0.0 when
     empty).
 
-    Every decision's latency/fill is evaluated in one vectorized pass;
-    ``np.argmax`` breaks bottleneck ties first-wins and
-    :func:`~repro.perf.kernels.seq_sum` sums fills left to right.
+    Evaluated by :func:`~repro.perf.kernels.segment_cycles`: bottleneck
+    ties break first-wins and fills sum left to right.
     """
     if not decisions:
         return 0.0

@@ -24,8 +24,8 @@ in numpy batches — once as raw uniforms (``random_sample``) and once
 exp-transformed (``standard_exponential``, the same ``-log(1 - u)`` that
 ``Random.expovariate`` computes, through the same C ``log``).  Arrival
 clocks come from sequential ``np.cumsum`` accumulation, so every float
-matches the scalar reference generators (kept as ``_*_scalar``, pinned
-bit-identical by digest tests) while fleet-scale traces (10^6+ requests)
+matches the scalar reference generators (test oracles in
+``tests/scalar_oracle.py``, pinned bit-identical by digest tests) while fleet-scale traces (10^6+ requests)
 generate in seconds.  Rates are expressed in requests per cycle; the CLI
 converts from the friendlier requests per mega-cycle.
 """
@@ -88,17 +88,6 @@ def _validate(tenants: Sequence[TenantSpec], rate: float,
         raise ScheduleError(f"num_requests must be >= 0, got {num_requests}")
 
 
-def _pick(rng: random.Random, tenants: Sequence[TenantSpec]) -> str:
-    """Weighted tenant choice (inverse-CDF; stable across platforms)."""
-    total = sum(t.weight for t in tenants)
-    x = rng.random() * total
-    for t in tenants:
-        x -= t.weight
-        if x < 0:
-            return t.name
-    return tenants[-1].name
-
-
 # ---------------------------------------------------------------------------
 # Vectorized uniform-stream machinery
 # ---------------------------------------------------------------------------
@@ -155,9 +144,9 @@ class _TwinStream:
 
 def _pick_batch(u: np.ndarray,
                 tenants: Sequence[TenantSpec]) -> List[int]:
-    """Vectorized :func:`_pick`: tenant indices for a batch of uniforms,
-    reproducing the scalar sequential-subtraction arithmetic bit for
-    bit."""
+    """Tenant indices for a batch of uniforms: the weighted inverse-CDF
+    choice, subtracting each tenant's weight in order as the scalar
+    ``Random.random()`` form does, bit for bit."""
     total = sum(t.weight for t in tenants)
     x = u * total
     idx = np.full(len(u), len(tenants) - 1, dtype=np.intp)
@@ -179,66 +168,6 @@ def _emit(out: List[Request], tenants: Sequence[TenantSpec],
         Request(base + i, names[k], c)
         for i, (k, c) in enumerate(zip(_pick_batch(picks, tenants),
                                        clocks.tolist())))
-
-
-# ---------------------------------------------------------------------------
-# Scalar reference generators (digest-pinned twins of the public API)
-# ---------------------------------------------------------------------------
-
-
-def _poisson_trace_scalar(tenants, rate, num_requests, seed=0):
-    """Scalar reference for :func:`poisson_trace` (one RNG call per
-    event); the vectorized path is pinned bit-identical to this."""
-    rng = random.Random(seed)
-    clock = 0.0
-    out: List[Request] = []
-    for i in range(num_requests):
-        clock += rng.expovariate(rate)
-        out.append(Request(i, _pick(rng, tenants), clock))
-    return out
-
-
-def _bursty_trace_scalar(tenants, rate, num_requests, seed=0,
-                         burst_factor=1.75, calm_factor=0.25,
-                         mean_dwell_requests=16.0):
-    """Scalar reference for :func:`bursty_trace`; the vectorized path is
-    pinned bit-identical to this."""
-    rng = random.Random(seed)
-    clock = 0.0
-    bursting = False
-    mean_dwell = mean_dwell_requests / rate
-    state_ends = rng.expovariate(1.0 / mean_dwell)
-    out: List[Request] = []
-    for i in range(num_requests):
-        while True:
-            state_rate = rate * (burst_factor if bursting else calm_factor)
-            gap = rng.expovariate(state_rate)
-            if clock + gap <= state_ends:
-                clock += gap
-                break
-            # The state flips before this arrival would land; restart the
-            # (memoryless) draw from the flip instant.
-            clock = state_ends
-            bursting = not bursting
-            state_ends = clock + rng.expovariate(1.0 / mean_dwell)
-        out.append(Request(i, _pick(rng, tenants), clock))
-    return out
-
-
-def _diurnal_trace_scalar(tenants, rate, num_requests, seed=0,
-                          period=2_000_000.0, depth=0.8):
-    """Scalar reference for :func:`diurnal_trace`; the batched path is
-    pinned bit-identical to this."""
-    rng = random.Random(seed)
-    peak = rate * (1.0 + depth)
-    clock = 0.0
-    out: List[Request] = []
-    while len(out) < num_requests:
-        clock += rng.expovariate(peak)
-        current = rate * (1.0 + depth * math.sin(2 * math.pi * clock / period))
-        if rng.random() * peak <= current:
-            out.append(Request(len(out), _pick(rng, tenants), clock))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,10 @@ class PerformanceSimulator:
             recorder=None) -> PerformanceReport:
         """Simulate one inference under ``schedule``.
 
-        Every operator's latency and fill are evaluated in one
-        vectorized pass per segment
-        (:func:`~repro.perf.kernels.segment_cycles`, the same kernel
-        behind :func:`~repro.sched.cg.pipelined_latency`): bottleneck
-        ties break first-wins and sums run left to right.
+        Every operator's latency and fill are evaluated in one pass per
+        segment (:func:`~repro.perf.kernels.segment_cycles`, the same
+        kernel behind :func:`~repro.sched.cg.pipelined_latency`):
+        bottleneck ties break first-wins and sums run left to right.
 
         ``recorder`` (a :class:`repro.trace.TraceRecorder`) optionally
         captures the run as a span timeline — per-segment

@@ -1,13 +1,14 @@
 """Scalar oracle: the plain-Python forms of the production kernels.
 
-Production runs one path: vectorized NoC cost aggregation, array-form
-duplication searches and refine-exchange, array-scored greedy
-placement, one-pass segment latencies, implicit process-wide memos, and
-a serving event loop that streams trace arrivals past its heap.  This
-module keeps the per-element loops those kernels replaced — one Python
-evaluation per core pair, per operator, per candidate, one heap entry
-per arrival — so the tests can check that production reproduces them
-bit for bit.
+Production runs one path: vectorized NoC cost aggregation, a
+constant-folded min-bottleneck search, array-form refine-exchange,
+array-scored greedy placement, one-pass segment latencies, implicit
+process-wide memos, batched trace generation, and a serving event loop
+that streams trace arrivals past its heap.  This module keeps the
+straightforward forms those kernels replaced — one Python evaluation
+per core pair, per operator, per candidate, one RNG call per draw, one
+heap entry per arrival — so the tests can check that production
+reproduces them bit for bit.
 
 Two ways to use it:
 
@@ -23,6 +24,7 @@ Two ways to use it:
 import contextlib
 import heapq
 import math
+import random
 import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -33,6 +35,7 @@ from repro.perf import CompileCache, kernels
 from repro.perf.bench import clear_process_caches
 from repro.sched import cg, placement
 from repro.serve import engine
+from repro.serve.workload import Request
 
 # ---------------------------------------------------------------------------
 # NoC cost
@@ -269,20 +272,29 @@ def duplicate_min_bottleneck(profiles, budget: int,
 # ---------------------------------------------------------------------------
 
 
+def ordered_sum(values) -> float:
+    """Left-to-right float sum.  ``sum()`` is compensated from Python
+    3.12 on, so it is not the reference order there."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def pipelined_latency(decisions) -> float:
     """Bottleneck latency plus every other operator's fill."""
     if not decisions:
         return 0.0
     lats = [d.latency() for d in decisions]
     bottleneck = max(lats)
-    fills = sum(d.fill() for d in decisions) - \
+    fills = ordered_sum(d.fill() for d in decisions) - \
         decisions[lats.index(bottleneck)].fill()
     return bottleneck + max(0.0, fills)
 
 
 def sequential_latency(decisions) -> float:
     """Plain left-to-right sum of operator latencies."""
-    return sum((d.latency() for d in decisions), 0.0)
+    return ordered_sum(d.latency() for d in decisions)
 
 
 def segment_cycles(decisions, pipelined: bool):
@@ -371,6 +383,78 @@ class EventLoop:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
+
+
+# ---------------------------------------------------------------------------
+# Trace generators
+# ---------------------------------------------------------------------------
+
+
+def pick(rng: random.Random, tenants) -> str:
+    """Weighted tenant choice: one ``rng.random()`` draw, inverse CDF by
+    sequential weight subtraction."""
+    total = sum(t.weight for t in tenants)
+    x = rng.random() * total
+    for t in tenants:
+        x -= t.weight
+        if x < 0:
+            return t.name
+    return tenants[-1].name
+
+
+def poisson_trace(tenants, rate, num_requests, seed=0) -> List[Request]:
+    """:func:`repro.serve.workload.poisson_trace` with one RNG call per
+    draw."""
+    rng = random.Random(seed)
+    clock = 0.0
+    out: List[Request] = []
+    for i in range(num_requests):
+        clock += rng.expovariate(rate)
+        out.append(Request(i, pick(rng, tenants), clock))
+    return out
+
+
+def bursty_trace(tenants, rate, num_requests, seed=0,
+                 burst_factor=1.75, calm_factor=0.25,
+                 mean_dwell_requests=16.0) -> List[Request]:
+    """:func:`repro.serve.workload.bursty_trace` (the MMPP-2) with one
+    RNG call per draw."""
+    rng = random.Random(seed)
+    clock = 0.0
+    bursting = False
+    mean_dwell = mean_dwell_requests / rate
+    state_ends = rng.expovariate(1.0 / mean_dwell)
+    out: List[Request] = []
+    for i in range(num_requests):
+        while True:
+            state_rate = rate * (burst_factor if bursting else calm_factor)
+            gap = rng.expovariate(state_rate)
+            if clock + gap <= state_ends:
+                clock += gap
+                break
+            # The state flips before this arrival would land; restart the
+            # (memoryless) draw from the flip instant.
+            clock = state_ends
+            bursting = not bursting
+            state_ends = clock + rng.expovariate(1.0 / mean_dwell)
+        out.append(Request(i, pick(rng, tenants), clock))
+    return out
+
+
+def diurnal_trace(tenants, rate, num_requests, seed=0,
+                  period=2_000_000.0, depth=0.8) -> List[Request]:
+    """:func:`repro.serve.workload.diurnal_trace` (thinning sampler) with
+    one RNG call per draw."""
+    rng = random.Random(seed)
+    peak = rate * (1.0 + depth)
+    clock = 0.0
+    out: List[Request] = []
+    while len(out) < num_requests:
+        clock += rng.expovariate(peak)
+        current = rate * (1.0 + depth * math.sin(2 * math.pi * clock / period))
+        if rng.random() * peak <= current:
+            out.append(Request(len(out), pick(rng, tenants), clock))
+    return out
 
 
 # ---------------------------------------------------------------------------

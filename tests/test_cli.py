@@ -157,6 +157,23 @@ class TestSweep:
             main(["sweep", "--model", "mlp", "--preset", "j",
                   "--no-cache"])
 
+    def test_non_numeric_axis_value_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="invalid literal for int"):
+            main(["sweep", "--model", "mlp", "--preset", "functional",
+                  "--vary", "cores=abc", "--no-cache"])
+
+    def test_internal_error_in_space_parsing_propagates(self, monkeypatch):
+        # Only input errors become a clean exit; a bug inside the
+        # sweep-space parser keeps its traceback.
+        from repro.explore import SweepSpace
+
+        def broken_grid(*args, **kwargs):
+            raise TypeError("bug inside SweepSpace.grid")
+
+        monkeypatch.setattr(SweepSpace, "grid", broken_grid)
+        with pytest.raises(TypeError, match="bug inside"):
+            main(self.ARGS + ["--no-cache"])
+
 
 class TestShard:
     ARGS = ["shard", "--arch", "isaac-baseline", "--model", "lenet",

@@ -3,10 +3,11 @@ reuse.
 
 Three layers of pinning:
 
-* **kernel equality** — every vectorized kernel (NoC costs, latency/
-  fill evaluation, duplication searches, refine-exchange, placement
-  scoring) produces values ``==`` to its plain-Python form in
-  ``tests/scalar_oracle.py`` across models, presets, topologies, and
+* **kernel equality** — every production kernel (NoC costs, latency/
+  fill evaluation, useful-duplication scan, duplication searches,
+  refine-exchange, placement scoring) produces values ``==`` to its
+  plain form in ``tests/scalar_oracle.py`` across models, presets,
+  topologies, synthetic segments of up to 120 operators, and
   degenerate inputs;
 * **report equality** — whole ``PerformanceReport`` /
   ``MultiChipReport`` objects and sweep summaries match field-for-field
@@ -19,10 +20,15 @@ Three layers of pinning:
   cache never share a schedule.
 """
 
+import math
+import random
+import re
 import types
 
 import pytest
 import scalar_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scalar_oracle import scalar_reference
 
 from repro.arch import (
@@ -32,14 +38,14 @@ from repro.arch import (
     noc,
     table2_example,
 )
+from repro.errors import CapacityError
 from repro.explore import SweepPoint, SweepRunner, SweepSpace, level_series
 from repro.explore import runner as runner_mod
 from repro.models import lenet, mlp, resnet18, vit_tiny
 from repro.perf import CompileCache, kernels
 from repro.perf.bench import run_bench
-from repro.sched import CIMMLC, CompilerOptions, no_optimization
+from repro.sched import CIMMLC, CompilerOptions, cg, no_optimization
 from repro.sched.cg import (
-    _VECTORIZE_MIN_MVMS,
     _refine_exchange,
     _useful_dups,
     duplicate_min_bottleneck,
@@ -47,8 +53,9 @@ from repro.sched.cg import (
     pipelined_latency,
     sequential_latency,
 )
-from repro.sched.costs import CostModel
+from repro.sched.costs import CostModel, OpProfile
 from repro.sched.placement import place_greedy
+from repro.sched.schedule import OpDecision
 from repro.scale import shard
 from repro.sim.performance import PerformanceSimulator
 
@@ -91,6 +98,64 @@ CASES = [
     (vit_tiny, lambda: isaac_baseline().with_xb_size((128, 256))),
     (mlp, table2_example),
 ]
+
+
+#: One synthetic operator: (is_cim, num_mvms, row_waves, input_passes,
+#: cores, alu, mov, seq_passes, reload, max-dup share, fill fraction).
+#: Few MVMs, large movement, multi-pass operators and the useful-dup cap
+#: all make latency plateaus where one more replica does not help.
+_OP_PARAMS = st.tuples(
+    st.sampled_from([True, True, True, False]),
+    st.one_of(st.integers(0, 12), st.integers(1, 5000)),
+    st.integers(1, 8), st.integers(1, 16), st.integers(1, 4),
+    st.one_of(st.just(0.0), st.floats(0.0, 5e4)),
+    st.one_of(st.just(0.0), st.floats(0.0, 2e6)),
+    st.sampled_from([1, 1, 1, 2, 3]),
+    st.floats(0.0, 1e4),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+def _synthetic_profile(name, params):
+    """An ``OpProfile`` with the field relations ``CostModel`` keeps."""
+    (is_cim, num_mvms, row_waves, passes, cores, alu, mov, seq_passes,
+     reload, dup_share, fill) = params
+    if not is_cim:
+        return OpProfile(
+            name=name, op_type="Relu", is_cim=False, num_mvms=0, vxb=None,
+            n_xb=0, cores_per_replica=0, mvm_cycles_base=0, row_waves=0,
+            input_passes=0, alu_cycles=alu, mov_cycles=mov, weight_bits=0,
+            in_bits=1, out_bits=1, fill_fraction=fill, max_useful_dup=1)
+    max_dup = 1 if seq_passes > 1 else \
+        max(1, math.ceil(dup_share * num_mvms))
+    return OpProfile(
+        name=name, op_type="Conv", is_cim=True, num_mvms=num_mvms,
+        vxb=None, n_xb=cores, cores_per_replica=cores,
+        mvm_cycles_base=passes * row_waves, row_waves=row_waves,
+        input_passes=passes, alu_cycles=alu, mov_cycles=mov,
+        weight_bits=1, in_bits=1, out_bits=1, fill_fraction=fill,
+        max_useful_dup=max_dup, seq_passes=seq_passes,
+        reload_cycles=reload if seq_passes > 1 else 0.0)
+
+
+@st.composite
+def synthetic_segments(draw):
+    """1-120 synthetic operators drawn from a small template pool (so
+    equal latencies, and with them bottleneck ties, are common) and a
+    core budget from just infeasible to loose."""
+    templates = draw(st.lists(_OP_PARAMS, min_size=1, max_size=12))
+    n = draw(st.one_of(st.integers(1, 8), st.integers(41, 120),
+                       st.integers(1, 120)))
+    picks = draw(st.lists(st.integers(0, len(templates) - 1),
+                          min_size=n, max_size=n))
+    profiles = [_synthetic_profile(f"op{i}", templates[k])
+                for i, k in enumerate(picks)]
+    base = sum(p.cores_per_replica for p in profiles
+               if p.is_cim and p.num_mvms > 0)
+    slack = draw(st.one_of(st.integers(-2, 8),
+                           st.integers(0, 4 * base + 64)))
+    return profiles, max(1, base + slack)
 
 
 class TestReportEquality:
@@ -160,8 +225,9 @@ class TestSearchKernelEquality:
         assert _refine_exchange(cim, budget, dict(start)) == \
             oracle.refine_exchange(cim, budget, dict(start))
 
-    @pytest.mark.parametrize("num_mvms", [_VECTORIZE_MIN_MVMS - 1,
-                                          _VECTORIZE_MIN_MVMS])
+    # 511/512 straddled a former numpy size cutoff; they stay as two
+    # regression points of the one scan.
+    @pytest.mark.parametrize("num_mvms", [511, 512])
     @pytest.mark.parametrize("cores_per_replica", [1, 3])
     @pytest.mark.parametrize("budget", [1, 7, 64, 511, 4096])
     def test_useful_dups_either_side_of_the_cutoff(
@@ -170,6 +236,29 @@ class TestSearchKernelEquality:
                                   max_useful_dup=num_mvms,
                                   cores_per_replica=cores_per_replica)
         assert _useful_dups(p, budget) == oracle.useful_dups(p, budget)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=synthetic_segments())
+    def test_min_bottleneck_matches_oracle_any_size(self, case):
+        # Real compiles barely reach past 40 CIM operators; this covers
+        # 1-120 with tight and loose budgets, ties and plateaus.
+        profiles, budget = case
+        try:
+            want = oracle.duplicate_min_bottleneck(profiles, budget)
+        except CapacityError as exc:
+            with pytest.raises(CapacityError, match=re.escape(str(exc))):
+                duplicate_min_bottleneck(profiles, budget, CompileCache())
+            return
+        got = duplicate_min_bottleneck(profiles, budget, CompileCache())
+        assert got == want
+        assert all(type(d) is int for d in got.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(num_mvms=st.one_of(st.integers(0, 600), st.integers(0, 200_000)),
+           cap=st.one_of(st.integers(-2, 70), st.integers(0, 300_000)))
+    def test_useful_dups_any_size(self, num_mvms, cap):
+        assert cg._useful_dups_scan(num_mvms, cap) == \
+            oracle.useful_dups_scan(num_mvms, cap)
 
     def test_placement_identical(self):
         for model, arch_fn in CASES[:3]:
@@ -195,8 +284,19 @@ class TestSegmentLatency:
             for pipelined in (True, False):
                 lats, b_idx, cycles = kernels.segment_cycles(
                     decisions, pipelined)
-                assert (lats.tolist(), b_idx, cycles) == \
+                assert (lats, b_idx, cycles) == \
                     oracle.segment_cycles(decisions, pipelined)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=synthetic_segments(), dup_seed=st.integers(0, 2**32 - 1))
+    def test_synthetic_segments_match_oracle(self, case, dup_seed):
+        profiles, _ = case
+        rng = random.Random(dup_seed)
+        decisions = [OpDecision(p, dup_cg=rng.randint(1, p.max_useful_dup))
+                     for p in profiles]
+        for pipelined in (True, False):
+            assert kernels.segment_cycles(decisions, pipelined) == \
+                oracle.segment_cycles(decisions, pipelined)
 
     def test_empty_segment_is_float_zero(self):
         for fn in (pipelined_latency, sequential_latency):

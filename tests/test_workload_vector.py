@@ -3,21 +3,19 @@
 The vectorized generators in :mod:`repro.serve.workload` batch their
 draws through numpy but must reproduce the original scalar algorithms
 *bit for bit* — every arrival float, every tenant pick, in order.  These
-tests compare against the retained ``_*_scalar`` twins across trace
-kinds, sizes, and seeds, and pin absolute digests so an accidental
+tests compare against the scalar twins in ``tests/scalar_oracle.py``
+across trace kinds, sizes, and seeds, and pin absolute digests so an accidental
 change to either side (or to numpy's RNG plumbing) fails loudly.
 """
 
 import struct
 
 import pytest
+import scalar_oracle as oracle
 
 from repro.errors import ScheduleError
 from repro.serve import TenantSpec, make_trace, trace_digest
 from repro.serve.workload import (
-    _bursty_trace_scalar,
-    _diurnal_trace_scalar,
-    _poisson_trace_scalar,
     bursty_trace,
     diurnal_bursty_trace,
     diurnal_trace,
@@ -30,9 +28,9 @@ SEEDS = (0, 1, 42)
 
 #: (vectorized, scalar reference) per trace kind.
 PAIRS = {
-    "poisson": (poisson_trace, _poisson_trace_scalar),
-    "bursty": (bursty_trace, _bursty_trace_scalar),
-    "diurnal": (diurnal_trace, _diurnal_trace_scalar),
+    "poisson": (poisson_trace, oracle.poisson_trace),
+    "bursty": (bursty_trace, oracle.bursty_trace),
+    "diurnal": (diurnal_trace, oracle.diurnal_trace),
 }
 
 
@@ -55,12 +53,12 @@ class TestBitIdentical:
         kw = dict(burst_factor=3.0, calm_factor=0.1,
                   mean_dwell_requests=5.0)
         assert bits(bursty_trace(TENANTS, 2e-4, 300, seed=9, **kw)) == \
-            bits(_bursty_trace_scalar(TENANTS, 2e-4, 300, seed=9, **kw))
+            bits(oracle.bursty_trace(TENANTS, 2e-4, 300, seed=9, **kw))
 
     def test_diurnal_custom_knobs(self):
         kw = dict(period=300_000.0, depth=0.95)
         assert bits(diurnal_trace(TENANTS, 2e-4, 300, seed=9, **kw)) == \
-            bits(_diurnal_trace_scalar(TENANTS, 2e-4, 300, seed=9, **kw))
+            bits(oracle.diurnal_trace(TENANTS, 2e-4, 300, seed=9, **kw))
 
     def test_single_tenant(self):
         one = [TenantSpec("solo", "mlp")]
