@@ -10,37 +10,28 @@ the goldens are two renderings of the same payloads and must move
 together).
 
 The sweep-shaped drivers run through a shared
-``repro.explore.SweepRunner``: points fan out over worker processes and
-land in a disk cache, so regenerating the file after an unrelated edit
-only recompiles what changed.
+``repro.explore.SweepRunner`` whose points fan out over worker
+processes; like every ``repro reproduce`` run, regeneration starts from
+cold caches.
 
 Run:  python scripts/generate_experiments_md.py [--workers N]
-                                                [--cache-dir DIR | --no-cache]
 """
 
 import argparse
 import sys
 
-from repro.reproduce import REGISTRY, run_profile
+from repro.reproduce import REGISTRY, run_registry
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the sweep drivers")
-    parser.add_argument("--cache-dir", default=None,
-                        help="sweep result cache (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro-explore)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the sweep result cache (runs the "
-                             "cold `full` profile instead of `quick`)")
     args = parser.parse_args()
-    report = run_profile(
-        profile="full" if args.no_cache else "quick",
+    report = run_registry(
         only=[entry.name for entry in REGISTRY if entry.titles],
         bless=True,
         workers=args.workers,
-        cache_dir=args.cache_dir,
         progress=lambda message: print(message, file=sys.stderr))
     errors = [e for e in report.entries if e.status == "error"]
     if errors:

@@ -1,26 +1,13 @@
 #!/usr/bin/env sh
 # One-command artifact reproduction (see docs/REPRODUCE.md).
 #
-#   scripts/run_all.sh [quick|full] [extra `repro reproduce` args...]
+#   scripts/run_all.sh [extra `repro reproduce` args...]
 #
-# quick (default): warm-cache validation of every registered entry,
-#                  ~5 minutes.
-# full:            cold-cache regeneration of everything, full BENCH
-#                  workloads.
-#
-# Exits non-zero naming any entry whose result deviates from the
-# committed goldens; writes reproduce_report.json next to this script's
-# invocation directory.
+# Runs every registered entry once from cold caches and validates it
+# against the committed goldens.  Exits non-zero naming any entry whose
+# result deviates; writes reproduce_report.json at the repo root.
 set -eu
-
-profile="${1:-quick}"
-case "$profile" in
-    quick|full) shift $(( $# > 0 ? 1 : 0 )) ;;
-    *) echo "usage: $0 [quick|full] [extra repro reproduce args]" >&2
-       exit 2 ;;
-esac
 
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m repro reproduce --profile "$profile" \
-    --out reproduce_report.json "$@"
+    python -m repro reproduce --out reproduce_report.json "$@"

@@ -6,8 +6,6 @@ Commands
               performance report (optionally per-level ablation).
 ``sweep``     Design-space sweep: vary preset parameters over a grid, run
               (optionally parallel + cached), print table/CSV/JSON.
-``bench``     Time the compile→simulate hot path from cold caches; report
-              absolute wall times and a digest of each result.
 ``shard``     Shard a model across a multi-chip system; print per-chip
               placement, the link schedule, and the pipeline estimate.
 ``serve``     Multi-tenant serving simulation (spatial / temporal /
@@ -111,26 +109,8 @@ def cmd_compile(args) -> None:
         print(result.schedule.summary())
 
 
-def cmd_bench(args) -> None:
-    from .perf import bench
-
-    names = args.only.split(",") if args.only else None
-    try:
-        results = bench.run_bench(names, quick=args.quick)
-    except KeyError as exc:
-        raise SystemExit(str(exc.args[0]))
-    if args.format == "json":
-        print(bench.to_json(results))
-    else:
-        print(bench.table(results))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(bench.to_json(results) + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-
-
 def cmd_reproduce(args) -> None:
-    from .reproduce import check_registry, run_profile
+    from .reproduce import check_registry, run_registry
 
     if args.check:
         failures = check_registry(goldens_dir=args.goldens_dir)
@@ -142,9 +122,8 @@ def cmd_reproduce(args) -> None:
         return
     only = args.only.split(",") if args.only else None
     try:
-        report = run_profile(
-            profile=args.profile, only=only, bless=args.bless,
-            workers=args.workers, cache_dir=args.cache_dir,
+        report = run_registry(
+            only=only, bless=args.bless, workers=args.workers,
             goldens_dir=args.goldens_dir,
             progress=lambda message: print(message, file=sys.stderr))
     except KeyError as exc:
@@ -1287,14 +1266,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "BENCH pins per-workload result digests), check the "
                     "committed document against freshly rendered "
                     "sections, and emit a machine-readable report plus "
-                    "a pass/fail table.  Profiles: quick (warm-cache "
-                    "friendly, ~5 min) and full (cold caches asserted "
-                    "empty, full BENCH workloads).  See "
+                    "a pass/fail table.  Every run is cold: the explore "
+                    "result cache is a fresh temporary directory.  See "
                     "docs/REPRODUCE.md.")
-    p.add_argument("--profile", choices=("quick", "full"),
-                   default="quick",
-                   help="quick = warm-cache subset sizing; full = "
-                        "cold-cache regeneration of everything")
     p.add_argument("--only", default=None, metavar="NAME,...",
                    help="run a subset of registry entries")
     p.add_argument("--bless", action="store_true",
@@ -1307,36 +1281,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "self-consistency; runs no generators")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes for the sweep-shaped entries")
-    p.add_argument("--cache-dir", default=None,
-                   help="explore result cache for the quick profile "
-                        "(default: $REPRO_CACHE_DIR or "
-                        "~/.cache/repro-explore); the full profile "
-                        "always uses a fresh temporary directory")
     p.add_argument("--goldens-dir", default="benchmarks/goldens",
                    help="committed goldens directory")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="also write reproduce_report.json to PATH")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_reproduce)
-
-    p = sub.add_parser(
-        "bench",
-        help="time the compile→simulate hot path from cold caches",
-        description="Run the performance benchmarks: each workload "
-                    "(compile, duplication search, placement, performance "
-                    "and power sim, the fig22 sensitivity sweep, serve, "
-                    "fleet, trace and faults) runs once from cold "
-                    "in-process caches and reports its absolute wall "
-                    "time and a SHA-256 digest of its result "
-                    "({name, wall_s, points, digest}).")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller workloads (CI smoke)")
-    p.add_argument("--only", default=None, metavar="NAME,...",
-                   help="run a subset of benchmarks")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the JSON to PATH")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "power",

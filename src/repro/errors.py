@@ -31,6 +31,10 @@ class ModeError(ArchitectureError):
     """Operation not available in the architecture's computing mode."""
 
 
+class ObjectiveError(CIMError):
+    """An optimization objective names no scalar sweep-summary key."""
+
+
 class ScheduleError(CIMError):
     """The scheduler could not produce a valid mapping."""
 

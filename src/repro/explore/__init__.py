@@ -35,6 +35,7 @@ from .pareto import (
     DEFAULT_OBJECTIVES,
     ENERGY_OBJECTIVES,
     OBJECTIVE_ALIASES,
+    OBJECTIVE_KEYS,
     attribute_bottleneck,
     attribute_sweep,
     dominates,
@@ -71,6 +72,7 @@ __all__ = [
     "ENERGY_OBJECTIVES",
     "LEVEL_SERIES",
     "OBJECTIVE_ALIASES",
+    "OBJECTIVE_KEYS",
     "PointResult",
     "PrefilterResult",
     "PrefilterStats",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..errors import ArchitectureError
+from ..errors import ArchitectureError, ObjectiveError
 from .runner import PointResult, SweepResult
 
 #: Default objectives: minimize single-inference latency and peak power.
@@ -30,6 +30,17 @@ DEFAULT_OBJECTIVES = ("total_cycles", "peak_power")
 #: latency,energy_per_inference,area``).
 ENERGY_OBJECTIVES = ("total_cycles", "energy_per_inference",
                      "area_crossbars")
+
+#: The scalar summary keys every point carries, single- and multi-chip
+#: alike (see :func:`repro.explore.runner.summarize_report`): the legal
+#: objectives.
+OBJECTIVE_KEYS = frozenset({
+    "total_cycles", "compute_cycles", "reconfiguration_cycles",
+    "noc_cycles", "steady_state_interval", "weight_load_cycles",
+    "weight_write_energy", "peak_power", "avg_power",
+    "peak_active_crossbars", "energy_total", "energy_per_inference",
+    "area_crossbars", "cores_used",
+})
 
 #: Friendly objective spellings -> summary keys (all minimized).
 OBJECTIVE_ALIASES = {
@@ -46,12 +57,20 @@ OBJECTIVE_ALIASES = {
 def resolve_objectives(objectives: Sequence[str]) -> Tuple[str, ...]:
     """Canonical summary keys for ``objectives`` (alias-resolved).
 
-    Unknown names pass through — any scalar summary key is a legal
-    objective — but an empty list is rejected eagerly.
+    Rejected eagerly, before any point runs: an empty list
+    (:class:`ArchitectureError`) and any name that is neither an alias
+    nor one of :data:`OBJECTIVE_KEYS` (:class:`ObjectiveError`).
     """
     if not objectives:
         raise ArchitectureError("at least one Pareto objective is required")
-    return tuple(OBJECTIVE_ALIASES.get(o, o) for o in objectives)
+    resolved = tuple(OBJECTIVE_ALIASES.get(o, o) for o in objectives)
+    unknown = [o for o, key in zip(objectives, resolved)
+               if key not in OBJECTIVE_KEYS]
+    if unknown:
+        raise ObjectiveError(
+            f"unknown objectives {unknown}; choose from "
+            f"{sorted(OBJECTIVE_ALIASES)} or {sorted(OBJECTIVE_KEYS)}")
+    return resolved
 
 
 def _objective_vector(result: PointResult,

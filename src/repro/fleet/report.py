@@ -18,7 +18,7 @@ A :class:`FleetReport` aggregates one fleet simulation three ways:
 
 ``digest()`` hashes the canonical JSON export — the currency of the
 determinism pin (same seed ⇒ bit-identical report) and of the
-``repro bench`` fleet workload's reference/fast equality check.
+``bench`` reproduce entry's ``fleet`` workload digest.
 """
 
 from __future__ import annotations

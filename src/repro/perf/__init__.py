@@ -1,4 +1,4 @@
-"""Performance layer: compile cache, numpy kernels, ``repro bench``.
+"""Performance layer: compile cache, numpy kernels, bench workloads.
 
 The hot compile→simulate path is accelerated by two cooperating
 pieces (see ``docs/PERFORMANCE.md``):
@@ -12,8 +12,8 @@ pieces (see ``docs/PERFORMANCE.md``):
   per-operator scheduler and simulator loops.  Their scalar oracles
   live in ``tests/scalar_oracle.py``, which pins them bit-identical.
 
-:mod:`repro.perf.bench` adds the ``repro bench`` harness: absolute wall
-times of the hot path from cold caches, plus a digest of each result.
+:mod:`repro.perf.bench` holds the hot-path workloads whose result
+digests the ``bench`` entry of ``repro reproduce`` pins.
 """
 
 from .cache import CompileCache

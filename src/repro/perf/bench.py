@@ -1,24 +1,22 @@
-"""``repro bench``: absolute wall times of the hot path, with digests.
+"""The ``bench`` reproduce entry: hot-path workloads pinned by digest.
 
-Each benchmark runs its workload once from *cold* in-process caches
-(:func:`clear_process_caches`) and reports the wall clock together with
-a SHA-256 :func:`~repro.reproduce.digest.result_digest` of everything
-the workload computed.  The emitted JSON is a list of ``{name, wall_s,
-points, digest}`` objects; ``repro reproduce`` pins the names, point
-counts and digests exactly, so a timing can never be reported for a
-computation that changed its answer unnoticed.
+Each workload runs once from *cold* in-process caches
+(:func:`~repro.perf.cache.clear_process_caches`) and is reduced to a
+SHA-256 :func:`~repro.reproduce.digest.result_digest` of everything it
+computed.  :func:`run_bench` returns ``{name, points, digest}`` rows,
+which the ``bench`` registry entry of ``repro reproduce`` pins exactly
+against ``benchmarks/goldens/bench.json``.  Wall times are perfbench's
+business (``perfbench/README.md``), not this module's.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..reproduce.digest import result_digest
+from .cache import clear_process_caches
 
-#: Benchmark registry: name -> factory(quick) -> (workload, points).
+#: Benchmark registry: name -> factory() -> (workload, points).
 #: Each workload() call performs one full measurement and returns a
 #: JSON-able digest of everything it computed.
 _BENCHES: Dict[str, Callable] = {}
@@ -36,59 +34,24 @@ def bench_names() -> List[str]:
     return list(_BENCHES)
 
 
-@dataclass(frozen=True)
-class BenchResult:
-    """One benchmark outcome (the JSON schema)."""
-
-    name: str
-    wall_s: float                 # cold-cache wall clock
-    points: int                   # workload size (compiles / cells / ops)
-    digest: str                   # SHA-256 of the workload's result
-
-    def to_dict(self) -> Dict:
-        """The JSON schema: name, wall_s, points, digest."""
-        return asdict(self)
-
-
-def clear_process_caches() -> None:
-    """Reset every implicit process-wide memo so a timed run starts cold.
-
-    Covers the process-wide explore compile cache, the implicit
-    duplication-search and placement memos, and the memoized NoC cost
-    matrices/aggregates; explicit caches owned by callers are untouched.
-    """
-    from ..arch.noc import _average_cost, _max_cost, hop_cost_array
-    from ..explore import runner as runner_mod
-    from ..sched import cg as cg_mod
-    from ..sched import placement as placement_mod
-
-    runner_mod._PROCESS_CACHE.clear()
-    cg_mod._IMPLICIT_SEARCH_CACHE.clear()
-    placement_mod._GREEDY_MEMO.clear()
-    _average_cost.cache_clear()
-    _max_cost.cache_clear()
-    hop_cost_array.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # Workloads
 # ---------------------------------------------------------------------------
 
 
-def _compile_inputs(quick: bool):
+def _compile_inputs():
     from ..arch import isaac_baseline
-    from ..models import resnet18, vit_tiny
+    from ..models import resnet18
 
-    graph = vit_tiny() if quick else resnet18()
-    return graph, isaac_baseline().with_xb_size((128, 256))
+    return resnet18(), isaac_baseline().with_xb_size((128, 256))
 
 
 @_bench("compile")
-def _bench_compile(quick: bool) -> Tuple[Callable, int]:
+def _bench_compile() -> Tuple[Callable, int]:
     """One full multi-level compile (schedule + simulate)."""
     from ..sched import CIMMLC
 
-    graph, arch = _compile_inputs(quick)
+    graph, arch = _compile_inputs()
 
     def workload():
         result = CIMMLC(arch).compile(graph)
@@ -100,20 +63,18 @@ def _bench_compile(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("duplication")
-def _bench_duplication(quick: bool) -> Tuple[Callable, int]:
+def _bench_duplication() -> Tuple[Callable, int]:
     """The two CG duplication searches over the whole model.
 
-    Repeated like the placement workload so the ~4 ms wall is not
-    dominated by a single scheduler hiccup; repeats model the
-    sweep/fleet reality where the same search keys recur, so the wall
-    includes the within-workload search memo (see :func:`run_bench`).
+    Repeated to model the sweep/fleet reality where the same search
+    keys recur, so the within-workload search memo is exercised too.
     """
     from ..sched.cg import duplicate_min_bottleneck, duplicate_min_total
     from ..sched.costs import CostModel
 
-    graph, arch = _compile_inputs(quick)
+    graph, arch = _compile_inputs()
     profiles = list(CostModel(arch).profiles(graph).values())
-    repeats = 3 if quick else 10
+    repeats = 10
 
     def workload():
         digest = []
@@ -128,18 +89,15 @@ def _bench_duplication(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("placement")
-def _bench_placement(quick: bool) -> Tuple[Callable, int]:
-    """Greedy NoC placement of every segment of a compiled schedule.
-
-    Repeated a few times so the timed sample is large enough that a
-    single scheduler hiccup on a shared CI runner does not dominate it.
-    """
+def _bench_placement() -> Tuple[Callable, int]:
+    """Greedy NoC placement of every segment of a compiled schedule
+    (repeated, so the placement memo is exercised too)."""
     from ..sched import CIMMLC
     from ..sched.placement import annotate_placement
 
-    graph, arch = _compile_inputs(quick)
+    graph, arch = _compile_inputs()
     schedule = CIMMLC(arch).schedule(graph)
-    repeats = 5 if quick else 10
+    repeats = 10
 
     def workload():
         placements = {}
@@ -152,14 +110,14 @@ def _bench_placement(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("perf_sim")
-def _bench_perf_sim(quick: bool) -> Tuple[Callable, int]:
+def _bench_perf_sim() -> Tuple[Callable, int]:
     """The performance simulator alone, on a prebuilt schedule."""
     from ..sched import CIMMLC
     from ..sim.performance import PerformanceSimulator
 
-    graph, arch = _compile_inputs(quick)
+    graph, arch = _compile_inputs()
     schedule = CIMMLC(arch).schedule(graph)
-    repeats = 20 if quick else 50
+    repeats = 50
 
     def workload():
         report = None
@@ -173,22 +131,18 @@ def _bench_perf_sim(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("power")
-def _bench_power(quick: bool) -> Tuple[Callable, int]:
+def _bench_power() -> Tuple[Callable, int]:
     """The power/energy model alone, on a prebuilt schedule.
 
-    Isolates what energy reporting costs on top of the latency
-    simulation: comparing this workload's per-evaluation wall clock
-    against ``perf_sim``'s (which runs the full simulator, power
-    included) bounds the energy-reporting share of the hot path — the
-    docs/ENERGY.md <5%-overhead claim.  The evaluation is deliberately
-    scalar (a tiny loop).
+    Pins the power/energy numbers separately from the latency
+    simulation, so a change in either is attributed to its model.
     """
     from ..sched import CIMMLC
     from ..sim.power import PowerModel
 
-    graph, arch = _compile_inputs(quick)
+    graph, arch = _compile_inputs()
     schedule = CIMMLC(arch).schedule(graph)
-    repeats = 20 if quick else 50
+    repeats = 50
 
     def workload():
         model = PowerModel(arch)
@@ -206,13 +160,13 @@ def _bench_power(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("sweep_fig22")
-def _bench_sweep_fig22(quick: bool) -> Tuple[Callable, int]:
+def _bench_sweep_fig22() -> Tuple[Callable, int]:
     """The Fig. 22(a) sensitivity sweep (ViT-Tiny, all four series)."""
     from ..experiments.fig22 import fig22a_cores
     from ..explore import SweepRunner
     from ..models import vit_tiny
 
-    cores = (256, 512) if quick else (256, 512, 768, 1024)
+    cores = (256, 512, 768, 1024)
     graph = vit_tiny()
 
     def workload():
@@ -224,7 +178,7 @@ def _bench_sweep_fig22(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("serve_capacity")
-def _bench_serve_capacity(quick: bool) -> Tuple[Callable, int]:
+def _bench_serve_capacity() -> Tuple[Callable, int]:
     """A 2-tenant serve capacity sweep riding the explore bridge."""
     from ..arch import get_preset
     from ..explore import SweepRunner
@@ -233,8 +187,8 @@ def _bench_serve_capacity(quick: bool) -> Tuple[Callable, int]:
     arch = get_preset("isaac-flash")
     specs = [TenantSpec("resnet18", "resnet18", 4.0),
              TenantSpec("mobilenet", "mobilenet", 1.0)]
-    rates = [10e-6] if quick else [5e-6, 10e-6, 22e-6]
-    requests = 100 if quick else 300
+    rates = [5e-6, 10e-6, 22e-6]
+    requests = 300
 
     def workload():
         points = serve_sweep(arch, specs, rates, num_requests=requests,
@@ -246,7 +200,7 @@ def _bench_serve_capacity(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("fleet")
-def _bench_fleet(quick: bool) -> Tuple[Callable, int]:
+def _bench_fleet() -> Tuple[Callable, int]:
     """A replicated fleet under a diurnal+bursty trace with autoscaling.
 
     The digest covers the full :class:`~repro.fleet.FleetReport` dict,
@@ -265,8 +219,8 @@ def _bench_fleet(quick: bool) -> Tuple[Callable, int]:
     arch = get_preset("isaac-flash")
     specs = [TenantSpec("resnet18", "resnet18", 4.0),
              TenantSpec("mobilenet", "mobilenet", 1.0)]
-    replicas = 4 if quick else 8
-    requests = 2_000 if quick else 20_000
+    replicas = 8
+    requests = 20_000
 
     def workload():
         fleet = build_fleet(arch, specs, replicas=replicas)
@@ -282,7 +236,7 @@ def _bench_fleet(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("trace")
-def _bench_trace(quick: bool) -> Tuple[Callable, int]:
+def _bench_trace() -> Tuple[Callable, int]:
     """Trace capture + critical path + a link-grid what-if replay.
 
     Shards a model, records the pipeline trace, extracts its critical
@@ -294,13 +248,13 @@ def _bench_trace(quick: bool) -> Tuple[Callable, int]:
     bit-identical to the recording.
     """
     from ..arch import MultiChipSystem, isaac_baseline
-    from ..models import lenet, resnet18
+    from ..models import resnet18
     from ..scale import shard
     from ..trace import Mutation, critical_path, record_shard, replay
 
-    graph = lenet() if quick else resnet18()
+    graph = resnet18()
     arch = isaac_baseline()
-    bandwidths = (64.0, 256.0) if quick else (16.0, 64.0, 256.0, 1024.0)
+    bandwidths = (16.0, 64.0, 256.0, 1024.0)
 
     def workload():
         plan = shard(graph, MultiChipSystem(arch, 3))
@@ -320,7 +274,7 @@ def _bench_trace(quick: bool) -> Tuple[Callable, int]:
 
 
 @_bench("faults")
-def _bench_faults(quick: bool) -> Tuple[Callable, int]:
+def _bench_faults() -> Tuple[Callable, int]:
     """Degraded planning plus fault-injected fleet serving.
 
     Builds a serving plan around a spread of dead cores, then runs a
@@ -338,8 +292,8 @@ def _bench_faults(quick: bool) -> Tuple[Callable, int]:
     arch = isaac_baseline()
     specs = [TenantSpec("resnet18", "resnet18", 4.0),
              TenantSpec("mobilenet", "mobilenet", 1.0)]
-    requests = 600 if quick else 6_000
-    kill = 32 if quick else 96
+    requests = 6_000
+    kill = 96
 
     def workload():
         mask = FaultModel(
@@ -370,38 +324,19 @@ def _bench_faults(quick: bool) -> Tuple[Callable, int]:
 # ---------------------------------------------------------------------------
 
 
-def run_bench(names: Optional[Sequence[str]] = None,
-              quick: bool = False) -> List[BenchResult]:
-    """Run the selected benchmarks, each once from cold in-process
-    caches (:func:`clear_process_caches`), so the wall clock covers the
-    vectorized kernels plus the *within-workload* memoization — not a
-    previously warmed process."""
+def run_bench(names: Optional[Sequence[str]] = None) -> List[Dict]:
+    """Run the selected workloads, each once from cold in-process
+    caches, and return one ``{name, points, digest}`` row per workload
+    (the ``bench`` golden's payload rows)."""
     chosen = list(names) if names else bench_names()
     unknown = [n for n in chosen if n not in _BENCHES]
     if unknown:
         raise KeyError(f"unknown benchmarks {unknown}; "
                        f"choose from {bench_names()}")
-    results: List[BenchResult] = []
+    rows: List[Dict] = []
     for name in chosen:
-        workload, points = _BENCHES[name](quick)
+        workload, points = _BENCHES[name]()
         clear_process_caches()
-        t0 = time.perf_counter()
-        payload = workload()
-        wall = time.perf_counter() - t0
-        results.append(BenchResult(name=name, wall_s=wall, points=points,
-                                   digest=result_digest(payload)))
-    return results
-
-
-def to_json(results: Sequence[BenchResult]) -> str:
-    """The ``repro bench`` JSON payload (list of schema objects)."""
-    return json.dumps([r.to_dict() for r in results], indent=1)
-
-
-def table(results: Sequence[BenchResult]) -> str:
-    """Readable fixed-width report."""
-    lines = [f"{'benchmark':<16} {'points':>6} {'wall':>10}  digest"]
-    for r in results:
-        lines.append(f"{r.name:<16} {r.points:>6} {r.wall_s:>9.3f}s  "
-                     f"{r.digest[:16]}")
-    return "\n".join(lines)
+        rows.append({"name": name, "points": points,
+                     "digest": result_digest(workload())})
+    return rows

@@ -23,7 +23,10 @@ The cache is deliberately in-process and unbounded: one sweep/serve/shard
 run holds a bounded universe of distinct keys, and entries are plain
 shared immutables (profiles) or copied-on-return containers (dup maps,
 segment lists), so sharing one cache across thousands of points is safe.
-Hit/miss counters make the reuse observable in tests and ``repro bench``.
+Hit/miss counters make the reuse observable in tests.
+
+:func:`clear_process_caches` resets the implicit process-wide memos
+(which live next to the code they serve) so a run can start cold.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ class CompileCache:
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot (for tests, logs, and ``repro bench``)."""
+        """Counter snapshot (for tests and logs)."""
         return {
             "profile_hits": self.profile_hits,
             "profile_misses": self.profile_misses,
@@ -149,3 +152,23 @@ class CompileCache:
         return (f"CompileCache(profiles={s['profiles_stored']}, "
                 f"dups={s['dups_stored']}, "
                 f"hits={s['profile_hits'] + s['dup_hits']})")
+
+
+def clear_process_caches() -> None:
+    """Reset every implicit process-wide memo so a run starts cold.
+
+    Covers the process-wide explore compile cache, the implicit
+    duplication-search and placement memos, and the memoized NoC cost
+    matrices/aggregates; explicit caches owned by callers are untouched.
+    """
+    from ..arch.noc import _average_cost, _max_cost, hop_cost_array
+    from ..explore import runner as runner_mod
+    from ..sched import cg as cg_mod
+    from ..sched import placement as placement_mod
+
+    runner_mod._PROCESS_CACHE.clear()
+    cg_mod._IMPLICIT_SEARCH_CACHE.clear()
+    placement_mod._GREEDY_MEMO.clear()
+    _average_cost.cache_clear()
+    _max_cost.cache_clear()
+    hop_cost_array.cache_clear()

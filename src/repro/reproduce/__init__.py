@@ -3,10 +3,9 @@ harness.
 
 One registry (:mod:`~repro.reproduce.registry`) declares every
 EXPERIMENTS.md figure/table and the BENCH suite; :func:`~repro.
-reproduce.harness.run_profile` runs it under a ``quick`` (warm-cache,
-~5 min) or ``full`` (cold-cache) profile, validates fresh result
-digests against the committed goldens in ``benchmarks/goldens/``, and
-emits ``reproduce_report.json`` plus a human pass/fail table.  The doc
+reproduce.harness.run_registry` runs it once from cold caches,
+validates fresh result digests against the committed goldens in
+``benchmarks/goldens/``, and emits ``reproduce_report.json`` plus a human pass/fail table.  The doc
 generator (``scripts/generate_experiments_md.py``) renders the same
 registry, so the published document and the validator cannot drift.
 
@@ -26,7 +25,7 @@ from .goldens import (
 from .harness import (
     check_registry,
     render_document,
-    run_profile,
+    run_registry,
 )
 from .registry import (
     EXEMPT_TITLES,
@@ -34,7 +33,6 @@ from .registry import (
     REGISTRY,
     EntryOutcome,
     ReproEntry,
-    RunContext,
     Section,
     document_titles,
     entry_names,
@@ -42,7 +40,6 @@ from .registry import (
     registered_titles,
 )
 from .report import (
-    PROFILE_BUDGETS_S,
     REPORT_SCHEMA_VERSION,
     EntryReport,
     ReproduceReport,
@@ -54,12 +51,10 @@ __all__ = [
     "EXPERIMENTS_HEADER",
     "EntryOutcome",
     "EntryReport",
-    "PROFILE_BUDGETS_S",
     "REGISTRY",
     "REPORT_SCHEMA_VERSION",
     "ReproEntry",
     "ReproduceReport",
-    "RunContext",
     "Section",
     "canonical_json",
     "check_registry",
@@ -71,7 +66,7 @@ __all__ = [
     "registered_titles",
     "render_document",
     "result_digest",
-    "run_profile",
+    "run_registry",
     "save_golden",
     "validate",
 ]

@@ -1,6 +1,6 @@
 """Committed goldens under ``benchmarks/goldens/`` and their validation.
 
-One JSON file per registry entry (``<golden_key>.json``), written by
+One JSON file per registry entry (``<entry name>.json``), written by
 ``repro reproduce --bless`` and compared on every validation run.
 Every golden pins the exact :func:`~repro.reproduce.digest.
 result_digest` of the payload — the determinism house invariant means a

@@ -1,15 +1,11 @@
 """One-command reproduction: run the registry, validate the goldens.
 
-:func:`run_profile` is the engine behind ``repro reproduce`` and
+:func:`run_registry` is the engine behind ``repro reproduce`` and
 ``scripts/run_all.sh``: it materializes every :data:`~repro.reproduce.
-registry.REGISTRY` entry under one of two profiles —
-
-* ``quick`` — warm-cache friendly: experiments ride the user's explore
-  result cache and BENCH runs its shrunk workloads.  The ~5-minute
-  artifact-evaluation pass.
-* ``full``  — cold by construction: the explore cache is redirected to
-  an empty temporary directory (emptiness asserted before, misses
-  asserted after) and BENCH runs its full workloads.
+registry.REGISTRY` entry in one run that is cold by construction — the
+process caches are cleared and the explore result cache is redirected
+to a fresh temporary directory (empty before the run, populated after
+it).
 
 Fresh results are digested and compared against the committed goldens
 (:mod:`repro.reproduce.goldens`); freshly rendered document sections
@@ -19,25 +15,24 @@ fails the same run that a wrong number does.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
 from .. import __version__
-from ..explore import SweepRunner, default_cache_dir
+from ..explore import SweepRunner
+from ..perf.cache import clear_process_caches
 from . import goldens as goldens_mod
 from .digest import result_digest
 from .registry import (
     EXEMPT_TITLES,
     EXPERIMENTS_HEADER,
     REGISTRY,
-    RunContext,
     document_titles,
     entry_names,
 )
-from .report import PROFILE_BUDGETS_S, EntryReport, ReproduceReport
+from .report import EntryReport, ReproduceReport
 
 #: Where the rendered document lives, relative to the repo root.
 EXPERIMENTS_MD = "EXPERIMENTS.md"
@@ -85,15 +80,13 @@ def render_document(sections: Sequence, elapsed_s: float) -> str:
     return "".join(parts)
 
 
-def run_profile(profile: str = "quick",
-                only: Optional[Sequence[str]] = None,
-                bless: bool = False,
-                workers: int = 1,
-                cache_dir: Optional[str] = None,
-                goldens_dir: str = goldens_mod.DEFAULT_GOLDENS_DIR,
-                experiments_md: str = EXPERIMENTS_MD,
-                progress=None) -> ReproduceReport:
-    """Run the registry under ``profile`` and validate (or bless) it.
+def run_registry(only: Optional[Sequence[str]] = None,
+                 bless: bool = False,
+                 workers: int = 1,
+                 goldens_dir: str = goldens_mod.DEFAULT_GOLDENS_DIR,
+                 experiments_md: str = EXPERIMENTS_MD,
+                 progress=None) -> ReproduceReport:
+    """Run the registry from cold caches and validate (or bless) it.
 
     ``only`` narrows to the named entries (validation still runs; the
     document-drift check covers just their sections).  ``bless``
@@ -104,38 +97,30 @@ def run_profile(profile: str = "quick",
     """
     say = progress or (lambda message: None)
     chosen = _select(only)
-    report = ReproduceReport(profile=profile, repro_version=__version__,
-                             blessed=bless, cold=(profile == "full"),
-                             budget_s=PROFILE_BUDGETS_S.get(profile, 0.0))
+    report = ReproduceReport(repro_version=__version__, blessed=bless,
+                             cold=True)
     t_run = time.perf_counter()
-    with contextlib.ExitStack() as stack:
-        if profile == "full":
-            explore_dir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-reproduce-cold-"))
-            if os.listdir(explore_dir):
-                raise RuntimeError(
-                    f"cold explore cache {explore_dir} is not empty")
-        else:
-            explore_dir = cache_dir or default_cache_dir()
-        from ..perf.bench import clear_process_caches
+    with tempfile.TemporaryDirectory(
+            prefix="repro-reproduce-cold-") as explore_dir:
+        if os.listdir(explore_dir):
+            raise RuntimeError(
+                f"cold explore cache {explore_dir} is not empty")
         clear_process_caches()
-        ctx = RunContext(
-            runner=SweepRunner(workers=workers, cache_dir=explore_dir),
-            profile=profile)
+        runner = SweepRunner(workers=workers, cache_dir=explore_dir)
         rendered_sections = []
         for entry in chosen:
             say(f"running {entry.name} ...")
-            entry_report, sections = _run_entry(entry, ctx, bless,
+            entry_report, sections = _run_entry(entry, runner, bless,
                                                 goldens_dir)
             report.entries.append(entry_report)
             rendered_sections.extend(sections)
-        swept = any(entry.uses_runner for entry in chosen)
-        if profile == "full" and swept and not os.listdir(explore_dir):
-            # Entries ran but the cold cache stayed empty: nothing was
+        swept = [entry.name for entry in chosen if entry.uses_runner]
+        if swept and not os.listdir(explore_dir):
+            # Entries swept but the cold cache stayed empty: nothing was
             # actually recomputed, so the "cold" promise is broken.
             report.cold = False
             for entry_report in report.entries:
-                if entry_report.kind == "experiment":
+                if entry_report.name in swept:
                     entry_report.status = "fail"
                     entry_report.failures.append(
                         "cold-cache assertion: no sweep results were "
@@ -167,7 +152,7 @@ def _select(only: Optional[Sequence[str]]):
     return [entry for entry in REGISTRY if entry.name in wanted]
 
 
-def _run_entry(entry, ctx, bless: bool, goldens_dir: str):
+def _run_entry(entry, runner, bless: bool, goldens_dir: str):
     """Run one entry, then bless or validate its golden.
 
     Returns ``(EntryReport, sections)`` — the rendered sections feed
@@ -175,7 +160,7 @@ def _run_entry(entry, ctx, bless: bool, goldens_dir: str):
     """
     t0 = time.perf_counter()
     try:
-        outcome = entry.run(ctx)
+        outcome = entry.run(runner)
     except Exception as exc:  # noqa: BLE001 - an entry crashing must be
         # reported as that entry's failure, not abort the whole run.
         return EntryReport(
@@ -183,19 +168,18 @@ def _run_entry(entry, ctx, bless: bool, goldens_dir: str):
             status="error", wall_s=time.perf_counter() - t0,
             failures=[f"{type(exc).__name__}: {exc}"]), ()
     wall = time.perf_counter() - t0
-    key = entry.golden_key(ctx.profile)
     digest = result_digest(outcome.payload)
     if bless:
         golden = goldens_mod.make_golden(
             entry.name, entry.kind, entry.validation, outcome.payload,
             __version__)
-        goldens_mod.save_golden(goldens_dir, key, golden)
+        goldens_mod.save_golden(goldens_dir, entry.name, golden)
         return EntryReport(
             name=entry.name, kind=entry.kind, validation=entry.validation,
             status="blessed", wall_s=wall,
             digest=digest), outcome.sections
-    golden = goldens_mod.load_golden(goldens_dir, key)
-    failures = goldens_mod.validate(outcome.payload, golden, key)
+    golden = goldens_mod.load_golden(goldens_dir, entry.name)
+    failures = goldens_mod.validate(outcome.payload, golden, entry.name)
     return EntryReport(
         name=entry.name, kind=entry.kind, validation=entry.validation,
         status="pass" if not failures else "fail", wall_s=wall,
@@ -236,7 +220,7 @@ def _check_document_drift(report: ReproduceReport, sections,
             entry_report.status = "fail"
         entry_report.failures.append(
             f"{experiments_md} drift — {title!r}: {why} "
-            f"(regenerate with `repro reproduce --bless --profile full`)")
+            f"(regenerate with `repro reproduce --bless`)")
 
 
 def _ordered_entries(report: ReproduceReport):
@@ -251,7 +235,7 @@ def check_registry(goldens_dir: str = goldens_mod.DEFAULT_GOLDENS_DIR,
 
     Runs no generators.  Verifies (1) the committed EXPERIMENTS.md
     headings equal the registered section titles, in order; (2) every
-    entry has its committed golden(s); (3) exact goldens are internally
+    entry has its committed golden; (3) exact goldens are internally
     consistent (stored digest matches their stored payload).  Returns
     failure messages; empty means consistent.
     """
@@ -277,16 +261,13 @@ def check_registry(goldens_dir: str = goldens_mod.DEFAULT_GOLDENS_DIR,
         failures.append(f"{experiments_md} headings != registry titles "
                         f"({'; '.join(detail)})")
     for entry in REGISTRY:
-        keys = [entry.golden_key(p) for p in ("quick", "full")] \
-            if entry.per_profile else [entry.golden_key("full")]
-        for key in keys:
-            golden = goldens_mod.load_golden(goldens_dir, key)
-            if golden is None:
-                failures.append(f"missing golden {key!r} under "
-                                f"{goldens_dir}")
-                continue
-            if golden.get("digest") != result_digest(golden["payload"]):
-                failures.append(
-                    f"golden {key!r}: stored digest does not match its "
-                    f"stored payload (hand-edited?)")
+        golden = goldens_mod.load_golden(goldens_dir, entry.name)
+        if golden is None:
+            failures.append(f"missing golden {entry.name!r} under "
+                            f"{goldens_dir}")
+            continue
+        if golden.get("digest") != result_digest(golden["payload"]):
+            failures.append(
+                f"golden {entry.name!r}: stored digest does not match its "
+                f"stored payload (hand-edited?)")
     return failures

@@ -86,39 +86,20 @@ class EntryOutcome:
     sections: Tuple[Section, ...]
 
 
-@dataclass
-class RunContext:
-    """Everything an entry needs to run: the shared sweep runner and the
-    active profile (``quick`` shrinks the BENCH workloads; experiment
-    payloads are profile-independent by construction)."""
-
-    runner: object
-    profile: str = "full"
-
-    @property
-    def quick(self) -> bool:
-        """True under ``--profile quick``."""
-        return self.profile == "quick"
-
-
 @dataclass(frozen=True)
 class ReproEntry:
-    """One registered reproducible: a name, a generator, a validation
-    policy, and the EXPERIMENTS.md sections it owns (empty for BENCH).
+    """One registered reproducible: a name (its golden is
+    ``<name>.json``), a generator taking the shared sweep runner, a
+    validation policy, and the EXPERIMENTS.md sections it owns (empty
+    for BENCH).
     """
 
     name: str
     kind: str                      # "experiment" | "bench"
     titles: Tuple[str, ...]        # EXPERIMENTS.md headings it renders
-    run: Callable[[RunContext], EntryOutcome]
+    run: Callable[[object], EntryOutcome]
     validation: str = "exact"      # digest policy (the only one)
-    per_profile: bool = False      # separate goldens per profile?
-    uses_runner: bool = False      # sweeps through ctx.runner's cache?
-
-    def golden_key(self, profile: str) -> str:
-        """The golden file stem (profile-qualified for BENCH, whose
-        quick/full workloads are genuinely different measurements)."""
-        return f"{self.name}@{profile}" if self.per_profile else self.name
+    uses_runner: bool = False      # sweeps through the runner's cache?
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +111,10 @@ def _driver(name: str, title: str, fn_name: str,
             needs_runner: bool = False) -> ReproEntry:
     """An entry wrapping one ``repro.experiments`` driver: the payload is
     its measured rows, the section body its side-by-side table."""
-    def run(ctx: RunContext) -> EntryOutcome:
+    def run(runner) -> EntryOutcome:
         from .. import experiments
         fn = getattr(experiments, fn_name)
-        result = fn(runner=ctx.runner) if needs_runner else fn()
+        result = fn(runner=runner) if needs_runner else fn()
         return EntryOutcome(
             payload={"rows": result.as_dict()},
             sections=(Section(title, "", result.table()),))
@@ -146,7 +127,7 @@ def _fig21() -> ReproEntry:
     owning four sections (and one golden covering all panels)."""
     titles = tuple(f"Fig. 21({key})" for key in "abcd")
 
-    def run(ctx: RunContext) -> EntryOutcome:
+    def run(runner) -> EntryOutcome:
         from ..experiments import fig21
         panels = fig21()
         return EntryOutcome(
@@ -161,8 +142,8 @@ def _fig21() -> ReproEntry:
 def _headline(name: str, title: str,
               fn: Callable[..., "headlines.HeadlineResult"]) -> ReproEntry:
     """An entry wrapping one post-paper headline generator."""
-    def run(ctx: RunContext) -> EntryOutcome:
-        result = fn(ctx.runner)
+    def run(runner) -> EntryOutcome:
+        result = fn(runner)
         return EntryOutcome(
             payload=result.payload,
             sections=(Section(title, result.prose, result.body),))
@@ -171,20 +152,14 @@ def _headline(name: str, title: str,
 
 
 def _bench() -> ReproEntry:
-    """The BENCH suite: every registered ``repro bench`` workload, run
+    """The BENCH suite: every :mod:`repro.perf.bench` workload, run
     once from cold caches.  Runs last (it clears the process caches
-    around every measurement).  The payload is ``{name, points,
-    digest}`` per workload — wall clocks stay out, so the golden is
-    exact like every other entry."""
-    def run(ctx: RunContext) -> EntryOutcome:
+    around every workload).  The payload is ``{name, points, digest}``
+    per workload, so the golden is exact like every other entry."""
+    def run(runner) -> EntryOutcome:
         from ..perf.bench import run_bench
-        results = run_bench(quick=ctx.quick)
-        return EntryOutcome(
-            payload={"rows": [{"name": r.name, "points": r.points,
-                               "digest": r.digest} for r in results]},
-            sections=())
-    return ReproEntry(name="bench", kind="bench", titles=(), run=run,
-                      per_profile=True)
+        return EntryOutcome(payload={"rows": run_bench()}, sections=())
+    return ReproEntry(name="bench", kind="bench", titles=(), run=run)
 
 
 #: Every reproducible, in EXPERIMENTS.md document order (BENCH last:

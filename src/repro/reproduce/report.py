@@ -2,8 +2,8 @@
 
 :class:`ReproduceReport` is what one ``repro reproduce`` run emits:
 one :class:`EntryReport` per registered entry (status, wall clock,
-digests, failure messages) plus run-level context (profile, version,
-cold-cache verification, total wall against the profile's budget).
+digests, failure messages) plus run-level context (version, cold-cache
+verification, total wall).
 ``to_dict``/``from_dict`` round-trip exactly — ``tests/
 test_reproduce.py`` pins the schema — so CI artifacts stay parseable
 across runs.
@@ -17,12 +17,7 @@ from typing import Dict, List, Optional
 import json
 
 #: Bump on any incompatible change to the report dict shape.
-REPORT_SCHEMA_VERSION = 1
-
-#: Informational wall-clock budgets per profile, seconds (the quick
-#: budget is the artifact-evaluation promise; overruns are reported,
-#: not failed — CI hardware varies).
-PROFILE_BUDGETS_S = {"quick": 300.0, "full": 1800.0}
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -43,13 +38,11 @@ class EntryReport:
 class ReproduceReport:
     """A full run: per-entry outcomes plus run-level context."""
 
-    profile: str
     repro_version: str
     entries: List[EntryReport] = field(default_factory=list)
     schema_version: int = REPORT_SCHEMA_VERSION
     cold: bool = False             # ran against empty caches?
     blessed: bool = False          # goldens were (re)written, not checked
-    budget_s: float = 0.0
     wall_s: float = 0.0
 
     @property
@@ -75,9 +68,8 @@ class ReproduceReport:
         """Rebuild a report from its JSON document (inverse of
         ``to_dict``; the derived ``failures``/``ok`` keys are ignored)."""
         entries = [EntryReport(**entry) for entry in doc["entries"]]
-        fields = {k: doc[k] for k in ("profile", "repro_version",
-                                      "schema_version", "cold", "blessed",
-                                      "budget_s", "wall_s")}
+        fields = {k: doc[k] for k in ("repro_version", "schema_version",
+                                      "cold", "blessed", "wall_s")}
         return cls(entries=entries, **fields)
 
     def to_json(self) -> str:
@@ -95,7 +87,6 @@ class ReproduceReport:
                 lines.append(f"  ! {failure}")
         verdict = "BLESSED" if self.blessed else \
             ("PASS" if self.ok else f"FAIL ({', '.join(self.failures)})")
-        budget = f" (budget {self.budget_s:.0f}s)" if self.budget_s else ""
-        lines.append(f"profile {self.profile}: {len(self.entries)} entries "
-                     f"in {self.wall_s:.1f}s{budget} — {verdict}")
+        lines.append(f"{len(self.entries)} entries in {self.wall_s:.1f}s "
+                     f"— {verdict}")
         return "\n".join(lines)

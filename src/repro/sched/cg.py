@@ -50,8 +50,8 @@ from .schedule import OpDecision, Schedule
 #: supplies no explicit cache.  The searches are pure functions of
 #: ``(profile tuple, budget)`` (frozen dataclasses carrying every
 #: quantity they read), so content-addressed sharing across
-#: otherwise-uncached compilations is value-exact.  ``repro bench``
-#: clears it between runs; an explicit ``cache=`` argument always wins.
+#: otherwise-uncached compilations is value-exact.
+#: :func:`repro.perf.cache.clear_process_caches` clears it; an explicit ``cache=`` argument always wins.
 _IMPLICIT_SEARCH_CACHE = CompileCache()
 
 

@@ -39,7 +39,7 @@ Placement = Dict[str, List[int]]
 #: Process-wide content-addressed memo of greedy placements, keyed on
 #: every input the algorithm reads (graph signature, architecture value,
 #: the segment's per-op core counts, region, die geometry, I/O anchor).
-#: ``repro bench`` clears it between runs.
+#: :func:`repro.perf.cache.clear_process_caches` clears it.
 _GREEDY_MEMO: Dict[Tuple, Placement] = {}
 
 

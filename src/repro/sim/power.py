@@ -124,11 +124,10 @@ class PowerModel:
         """Compute peak/average power for a scheduled inference taking
         ``total_cycles`` (from the performance simulator).
 
-        The per-decision accumulation deliberately stays scalar on both
-        paths: one pass over a few dozen operators is cheaper than
-        building numpy columns for it (the same call the ``repro bench``
-        ``power`` workload times — energy reporting is a rounding error
-        next to the latency simulation; see docs/ENERGY.md).
+        The per-decision accumulation deliberately stays scalar: one
+        pass over a few dozen operators is cheaper than building numpy
+        columns for it (energy reporting is a rounding error next to
+        the compile path; see docs/ENERGY.md).
         """
         peak_xbs = self.peak_active_crossbars(schedule)
         e_xb = e_conv = e_move = 0.0

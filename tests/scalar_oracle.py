@@ -32,7 +32,7 @@ from repro.arch.noc import NocSpec
 from repro.errors import CapacityError, ScheduleError
 from repro.explore import runner as runner_mod
 from repro.perf import CompileCache, kernels
-from repro.perf.bench import clear_process_caches
+from repro.perf.cache import clear_process_caches
 from repro.sched import cg, placement
 from repro.serve import engine
 from repro.serve.workload import Request

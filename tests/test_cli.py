@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro.cli import MODELS, build_parser, main
+from repro.explore import SweepRunner
 
 
 class TestParser:
@@ -137,6 +138,18 @@ class TestSweep:
     def test_pareto_flag(self, capsys):
         main(self.ARGS + ["--no-cache", "--pareto"])
         assert "pareto frontier" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pareto", [["--pareto"], []],
+                             ids=["pareto", "no-pareto"])
+    def test_unknown_objective_exits_before_any_point_runs(
+            self, monkeypatch, pareto):
+        def run(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+        monkeypatch.setattr(SweepRunner, "run", run)
+        with pytest.raises(SystemExit,
+                           match=r"unknown objectives \['nope'\]"):
+            main(self.ARGS + ["--no-cache", "--objectives", "latency,nope"]
+                 + pareto)
 
     def test_workers_zero_rejected(self):
         with pytest.raises(SystemExit, match="--workers must be"):

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.arch import functional_testbed, isaac_baseline, table2_example
-from repro.errors import ArchitectureError
+from repro.errors import ArchitectureError, ObjectiveError
 from repro.explore import (
+    OBJECTIVE_KEYS,
     PointResult,
     SweepPoint,
     SweepRunner,
@@ -186,6 +187,18 @@ class TestPareto:
         b = _fake_result("b", 20.0, 1.0)
         frontier = pareto_frontier([a, b], objectives=("total_cycles",))
         assert [r.label for r in frontier] == ["a"]
+
+    def test_objective_keys_are_scalars_of_every_summary(self):
+        options = CompilerOptions(max_level="CG")
+        single = SweepPoint("p", "CG", functional_testbed(), mlp(), options)
+        multi = SweepPoint("p", "CG", isaac_baseline(), mlp(), options,
+                           chips=2)
+        for point in (single, multi):
+            summary = runner_mod.evaluate_point(point)
+            for key in OBJECTIVE_KEYS:
+                assert type(summary[key]) in (int, float), key
+        with pytest.raises(ObjectiveError, match="nope"):
+            pareto_frontier([], objectives=("latency", "nope"))
 
     def test_attribution_shares_and_dominant(self):
         summary = {

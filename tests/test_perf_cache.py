@@ -44,6 +44,7 @@ from repro.explore import runner as runner_mod
 from repro.models import lenet, mlp, resnet18, vit_tiny
 from repro.perf import CompileCache, kernels
 from repro.perf.bench import run_bench
+from repro.reproduce import DEFAULT_GOLDENS_DIR, load_golden
 from repro.sched import CIMMLC, CompilerOptions, cg, no_optimization
 from repro.sched.cg import (
     _refine_exchange,
@@ -447,13 +448,11 @@ class TestSweepRunnerFastPath:
 
 class TestBench:
     def test_schema_and_digest_repeat_from_cold_caches(self):
-        first = run_bench(["duplication", "power"], quick=True)
-        second = run_bench(["duplication", "power"], quick=True)
-        for a, b in zip(first, second):
-            assert set(a.to_dict()) == {"name", "wall_s", "points", "digest"}
-            assert a.wall_s > 0 and len(a.digest) == 64
-            assert (a.name, a.points, a.digest) == \
-                (b.name, b.points, b.digest)
+        names = ["duplication", "power"]
+        first = run_bench(names)
+        assert run_bench(names) == first
+        golden = load_golden(DEFAULT_GOLDENS_DIR, "bench")["payload"]["rows"]
+        assert first == [row for row in golden if row["name"] in names]
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):

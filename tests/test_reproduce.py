@@ -6,10 +6,11 @@ Three layers of protection:
 * **Completeness** — every EXPERIMENTS.md heading is rendered by
   exactly one registry entry, in document order, and every entry has a
   committed, internally consistent golden (``check_registry``).
-* **End-to-end** — cheap entries run under the quick profile against
-  the committed goldens and pass; a deliberately corrupted golden
-  fails, naming the entry, through both the harness and the CLI exit
-  path.
+* **End-to-end** — cheap entries run from cold caches against the
+  committed goldens and pass; a deliberately corrupted golden fails,
+  naming the entry, through both the harness and the CLI exit path; a
+  run whose sweeps wrote nothing to the fresh cache fails the
+  cold-cache check.
 * **Digest properties** — hypothesis fuzz: any single-field
   perturbation of a payload changes its digest, and dict insertion
   order never does.
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.explore import SweepRunner
 from repro.reproduce import (
     DEFAULT_GOLDENS_DIR,
     EXEMPT_TITLES,
@@ -35,8 +37,10 @@ from repro.reproduce import (
     entry_names,
     registered_titles,
     result_digest,
-    run_profile,
+    run_registry,
 )
+from repro.reproduce import harness
+
 
 
 class TestRegistryCompleteness:
@@ -68,18 +72,14 @@ class TestRegistryCompleteness:
 
     def test_every_entry_has_a_committed_golden(self):
         for entry in REGISTRY:
-            profiles = ("quick", "full") if entry.per_profile else ("full",)
-            for profile in profiles:
-                path = os.path.join(DEFAULT_GOLDENS_DIR,
-                                    f"{entry.golden_key(profile)}.json")
-                assert os.path.exists(path), f"missing golden {path}"
+            path = os.path.join(DEFAULT_GOLDENS_DIR, f"{entry.name}.json")
+            assert os.path.exists(path), f"missing golden {path}"
 
     def test_exact_goldens_are_self_consistent(self):
         for entry in REGISTRY:
             if entry.validation != "exact":
                 continue
-            path = os.path.join(DEFAULT_GOLDENS_DIR,
-                                f"{entry.golden_key('full')}.json")
+            path = os.path.join(DEFAULT_GOLDENS_DIR, f"{entry.name}.json")
             with open(path) as handle:
                 golden = json.load(handle)
             assert golden["digest"] == result_digest(golden["payload"])
@@ -87,16 +87,14 @@ class TestRegistryCompleteness:
 
 
 class TestQuickProfileEndToEnd:
-    """Cheap entries, real goldens: run -> validate -> report."""
+    """Cheap (quick) entries, real goldens: run -> validate -> report."""
 
-    def test_quick_entries_pass_against_committed_goldens(self, tmp_path):
-        report = run_profile(profile="quick", only=["table1", "fig16"],
-                             cache_dir=str(tmp_path / "explore"))
+    def test_quick_entries_pass_against_committed_goldens(self):
+        report = run_registry(only=["table1", "fig16"])
         assert [e.status for e in report.entries] == ["pass", "pass"]
         assert report.ok
         assert report.failures == []
-        assert report.profile == "quick"
-        assert report.budget_s == 300.0
+        assert report.cold
         for entry in report.entries:
             assert entry.digest == entry.golden_digest
 
@@ -110,9 +108,7 @@ class TestQuickProfileEndToEnd:
         golden["digest"] = result_digest(golden["payload"])
         with open(goldens / "fig16.json", "w") as fh:
             json.dump(golden, fh)
-        report = run_profile(profile="quick", only=["fig16"],
-                             goldens_dir=str(goldens),
-                             cache_dir=str(tmp_path / "explore"))
+        report = run_registry(only=["fig16"], goldens_dir=str(goldens))
         assert not report.ok
         assert report.failures == ["fig16"]
         (entry,) = report.entries
@@ -132,7 +128,6 @@ class TestQuickProfileEndToEnd:
         with pytest.raises(SystemExit) as excinfo:
             main(["reproduce", "--only", "fig16",
                   "--goldens-dir", str(goldens),
-                  "--cache-dir", str(tmp_path / "explore"),
                   "--out", str(tmp_path / "reproduce_report.json")])
         assert "fig16" in str(excinfo.value)
         with open(tmp_path / "reproduce_report.json") as fh:
@@ -142,18 +137,15 @@ class TestQuickProfileEndToEnd:
 
     def test_unknown_entry_is_an_error(self):
         with pytest.raises(KeyError):
-            run_profile(only=["does-not-exist"])
+            run_registry(only=["does-not-exist"])
 
     def test_blessing_writes_a_loadable_golden(self, tmp_path):
         goldens = tmp_path / "goldens"
-        report = run_profile(profile="quick", only=["fig16"], bless=True,
-                             goldens_dir=str(goldens),
-                             cache_dir=str(tmp_path / "explore"))
+        report = run_registry(only=["fig16"], bless=True,
+                              goldens_dir=str(goldens))
         assert report.blessed
         assert report.entries[0].status == "blessed"
-        check = run_profile(profile="quick", only=["fig16"],
-                            goldens_dir=str(goldens),
-                            cache_dir=str(tmp_path / "explore"))
+        check = run_registry(only=["fig16"], goldens_dir=str(goldens))
         assert check.ok
 
 
@@ -163,8 +155,7 @@ class TestReportSchema:
     @staticmethod
     def _sample() -> ReproduceReport:
         return ReproduceReport(
-            profile="quick", repro_version="1.9.0", cold=False,
-            budget_s=300.0, wall_s=12.5,
+            repro_version="1.9.0", cold=False, wall_s=12.5,
             entries=[
                 EntryReport(name="fig16", kind="experiment",
                             validation="exact", status="pass",
@@ -188,7 +179,8 @@ class TestReportSchema:
         doc = self._sample().to_dict()
         assert doc["ok"] is False
         assert doc["failures"] == ["bench"]
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert "profile" not in doc and "budget_s" not in doc
 
     def test_table_names_failures(self):
         table = self._sample().table()
@@ -279,17 +271,28 @@ class TestDigestProperties:
 
 
 class TestColdAssertion:
-    """The full profile proves its cold-cache promise."""
+    """Every run proves its cold-cache promise."""
 
-    def test_full_profile_records_cold_and_populates_fresh_cache(
-            self, tmp_path):
-        report = run_profile(profile="full", only=["shard"], bless=True,
-                             goldens_dir=str(tmp_path / "goldens"))
+    def test_run_records_cold_and_populates_fresh_cache(self, tmp_path):
+        report = run_registry(only=["shard"], bless=True,
+                              goldens_dir=str(tmp_path / "goldens"))
         assert report.cold
         assert report.entries[0].status == "blessed"
 
-    def test_quick_profile_is_not_cold(self, tmp_path):
-        report = run_profile(profile="quick", only=["fig16"], bless=True,
-                             goldens_dir=str(tmp_path / "goldens"),
-                             cache_dir=str(tmp_path / "explore"))
+    def test_sweeps_that_write_nothing_fail_the_runner_entries(
+            self, monkeypatch):
+        # A runner that ignores the fresh cache directory: the sweeps
+        # recompute but leave it empty, so the run cannot prove it was
+        # cold.  Only the entries that sweep through the runner fail.
+        monkeypatch.setattr(
+            harness, "SweepRunner",
+            lambda workers, cache_dir: SweepRunner(workers=workers))
+        report = run_registry(only=["table1", "fig16"])
         assert not report.cold
+        assert report.failures == ["table1"]
+        table1, fig16 = report.entries
+        assert table1.status == "fail"
+        assert table1.failures == [
+            "cold-cache assertion: no sweep results were written to the "
+            "fresh cache directory"]
+        assert fig16.status == "pass"
